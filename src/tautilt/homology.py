@@ -632,6 +632,7 @@ class ARQuiverData:
         self.injective_vertex: Dict[int, int] = {}
         self._label_counts: Dict[str, int] = {}
         self._hom_table: Optional[List[List[int]]] = None
+        self._hom_masks: Optional[Tuple[List[int], List[int]]] = None
         self._ext_table: Optional[List[List[int]]] = None
 
     @property
@@ -665,6 +666,23 @@ class ARQuiverData:
                 for i in range(n)
             ]
         return self._hom_table
+
+    def hom_masks(self) -> Tuple[List[int], List[int]]:
+        """The Hom table as bitmasks over AR indices: (out, into), where bit y
+        of out[x] and bit x of into[y] are set iff Hom(X_x, X_y) != 0."""
+        if self._hom_masks is None:
+            hom = self.hom_table()
+            n = self.count
+            out = [0] * n
+            into = [0] * n
+            for x in range(n):
+                row = hom[x]
+                for y in range(n):
+                    if row[y]:
+                        out[x] |= 1 << y
+                        into[y] |= 1 << x
+            self._hom_masks = (out, into)
+        return self._hom_masks
 
     def hom_to_tau(self, i: int, j: int) -> int:
         """dim Hom(X_i, tau X_j); zero when X_j is projective."""

@@ -754,7 +754,7 @@ def decompose(m: Representation, seed: int = 0) -> DecompositionResult:
     return DecompositionResult(m, parts, splitting, factors)
 
 
-def _indec_iso(p: Representation, q: Representation, seed: int = 0) -> Optional[Morphism]:
+def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
     """Isomorphism between certified indecomposables, or None.
 
     Deterministic certificate: p = q iff some composite psi . phi avoids
@@ -784,17 +784,8 @@ def _indec_iso(p: Representation, q: Representation, seed: int = 0) -> Optional[
                 # local End: comp invertible, so phi is a split mono between
                 # equal dimension vectors, hence invertible; assert exactly
                 raise NotCertifiableError("internal: certified iso is not invertible")
-    # fall back to seeded random combinations, retry-bounded
-    rng = random.Random(seed)
-    for _ in range(ISO_SEARCH_RETRIES):
-        acc = None
-        for phi in fwd:
-            c = rng.randint(-2, 2)
-            if c:
-                term = phi.scale(c)
-                acc = term if acc is None else acc + term
-        if acc is not None and acc.is_iso():
-            return acc
+    # p = q would give id = sum a_i b_j psi_j phi_i outside rad End(p), so some
+    # basis composite would have been found above
     return None
 
 
@@ -824,7 +815,7 @@ def iso_test(m: Representation, n: Representation, seed: int = 0) -> Optional[Mo
         for j, q in enumerate(dn.parts):
             if used[j]:
                 continue
-            phi = _indec_iso(p, q, seed)
+            phi = _indec_iso(p, q)
             if phi is not None:
                 found = (j, phi)
                 break
@@ -844,7 +835,8 @@ def iso_test(m: Representation, n: Representation, seed: int = 0) -> Optional[Mo
         middle = zero_morphism(sum_m.total, sum_n.total)
     iso = dn.splitting.inverse() @ middle @ dm.splitting
     if not iso.is_iso():
-        return None
+        # every summand matched, so the assembled map must be invertible
+        raise ContractViolation("internal: assembled isomorphism is not invertible")
     return Morphism(m, n, iso.maps, verify=True)
 
 

@@ -3,7 +3,9 @@
 Class-level operations represent torsion classes extensionally as sets of
 indecomposables from a completed AR enumeration, so they are confined to
 representation-finite algebras; the finiteness probe and the exchange-sequence
-mutation work without enumeration and detect the boundary honestly.
+mutation work without enumeration and detect the boundary honestly.  Inside
+the lattice engine (`mutate`, `hasse`) a class is an int bitmask over AR
+indices, computed from the exact Hom table (`ARQuiverData.hom_masks`).
 """
 
 from __future__ import annotations
@@ -91,6 +93,47 @@ class ModuleClass:
         return len(self.support_vertices())
 
 
+def _mask(ids) -> int:
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def _members(mask: int) -> FrozenSet[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _perp_mask(mask: int, hom_rows: List[int]) -> int:
+    """The AR indices in no hom_rows[i] for i in mask.  With the out-masks
+    of `ARQuiverData.hom_masks` this is mask^perp0, with the in-masks
+    perp0(mask)."""
+    hit = 0
+    while mask:
+        low = mask & -mask
+        hit |= hom_rows[low.bit_length() - 1]
+        mask ^= low
+    return ((1 << len(hom_rows)) - 1) & ~hit
+
+
+def fac_class(ids: Sequence[int], ar: ARQuiverData) -> int:
+    """Fac U for a tau-rigid U = sum of the indecomposables ids, as a bitmask.
+
+    For tau-rigid U, Fac U is a torsion class (Auslander-Smalo;
+    Adachi-Iyama-Reiten 2014, Thm 2.7), hence the smallest one containing U:
+    the double perp perp0(U^perp0), read off the exact Hom table.  The
+    trace-based `gen_class` computes the same class from the modules and is
+    kept as its independent cross-check in the tests.
+    """
+    out_masks, in_masks = ar.hom_masks()
+    return _perp_mask(_perp_mask(_mask(ids), out_masks), in_masks)
+
+
 @dataclass(frozen=True)
 class TorsionPairData:
     torsion: ModuleClass
@@ -99,20 +142,14 @@ class TorsionPairData:
 
 def perp_right(cls: ModuleClass) -> ModuleClass:
     """cls^{perp0}: everything receiving no map from cls."""
-    hom = cls.ar.hom_table()
-    out = frozenset(
-        y for y in range(cls.ar.count) if all(hom[x][y] == 0 for x in cls.members)
-    )
-    return ModuleClass(cls.ar, out)
+    out_masks, _ = cls.ar.hom_masks()
+    return ModuleClass(cls.ar, _members(_perp_mask(_mask(cls.members), out_masks)))
 
 
 def perp_left(cls: ModuleClass) -> ModuleClass:
     """{}^{perp0} cls: everything mapping nowhere into cls."""
-    hom = cls.ar.hom_table()
-    out = frozenset(
-        x for x in range(cls.ar.count) if all(hom[x][y] == 0 for y in cls.members)
-    )
-    return ModuleClass(cls.ar, out)
+    _, in_masks = cls.ar.hom_masks()
+    return ModuleClass(cls.ar, _members(_perp_mask(_mask(cls.members), in_masks)))
 
 
 def is_torsion_class(cls: ModuleClass) -> Tuple[bool, Optional[int]]:
@@ -141,14 +178,7 @@ def enumerate_torsion_classes_oracle(ar: ARQuiverData) -> List[ModuleClass]:
         raise DomainError(
             f"oracle is a 2^n subset scan; {n} indecomposables exceed the limit {ORACLE_MAX_INDECS}"
         )
-    hom = ar.hom_table()
-    out_mask = [0] * n   # y-sets hit from x
-    in_mask = [0] * n    # x-sets hitting y
-    for x in range(n):
-        for y in range(n):
-            if hom[x][y]:
-                out_mask[x] |= 1 << y
-                in_mask[y] |= 1 << x
+    out_mask, in_mask = ar.hom_masks()
     full = (1 << n) - 1
     total = 1 << n
     dp_out = [0] * total
@@ -163,9 +193,7 @@ def enumerate_torsion_classes_oracle(ar: ARQuiverData) -> List[ModuleClass]:
         f = full & ~dp_out[s]
         if (full & ~dp_in[f]) == s:
             classes.append(s)
-    out = [
-        ModuleClass(ar, frozenset(i for i in range(n) if s >> i & 1)) for s in classes
-    ]
+    out = [ModuleClass(ar, _members(s)) for s in classes]
     out.sort(key=lambda c: (-c.size, c.labels()))
     return out
 
@@ -221,6 +249,13 @@ def is_tau_rigid(t: Representation, kill: Optional[Set[int]] = None) -> bool:
     if kill:
         return all(t.dims[v - 1] == 0 for v in kill)
     return True
+
+
+def is_tau_rigid_indexed(ids: Sequence[int], ar: ARQuiverData) -> bool:
+    """Hom(T, tau T) = 0 for T = sum of the indecomposables ids, read off the
+    exact Hom table: Hom(T, tau T) is the direct sum of the Hom(T_i, tau T_j)
+    (Adachi-Iyama-Reiten 2014), so every hom_to_tau(i, j) must vanish."""
+    return all(ar.hom_to_tau(i, j) == 0 for i in ids for j in ids)
 
 
 def ext_projectives_in(cls: ModuleClass) -> ModuleClass:
@@ -428,7 +463,12 @@ def pair_from_ids(ar: ARQuiverData, ids: Sequence[int], kill: Sequence[int]) -> 
 
 
 def check_pair(pair: SupportTauTiltingPair, ar: Optional[ARQuiverData] = None) -> None:
-    """Assert the support tau-tilting pair axioms exactly."""
+    """Assert the support tau-tilting pair axioms exactly.
+
+    For a pair indexed against the enumeration ar, tau-rigidity is read off
+    the exact Hom table (`is_tau_rigid_indexed`); other pairs (`dagger`,
+    `finiteness_probe`) are checked by `is_tau_rigid` on the direct sum.
+    """
     a = pair.algebra
     n = a.vertex_count
     if len(pair.summands) + len(pair.kill) != n:
@@ -440,8 +480,13 @@ def check_pair(pair: SupportTauTiltingPair, ar: Optional[ARQuiverData] = None) -
         for y in pair.summands[i + 1:]:
             if x.dims == y.dims and is_isomorphic(x, y):
                 raise DomainError("pair is not basic")
-    total = direct_sum(a, list(pair.summands)).total
-    if not is_tau_rigid(total):
+    if ar is not None and pair.ids is not None:
+        if ar.algebra is not a:
+            raise ContractViolation("pair is not indexed against this enumeration")
+        rigid = is_tau_rigid_indexed(pair.ids, ar)
+    else:
+        rigid = is_tau_rigid(direct_sum(a, list(pair.summands)).total)
+    if not rigid:
         raise DomainError("module part is not tau-rigid")
 
 
@@ -473,9 +518,10 @@ def complete_pair(t: Representation, ar: ARQuiverData) -> SupportTauTiltingPair:
 
 
 def pair_torsion_class(pair: SupportTauTiltingPair, ar: ARQuiverData) -> ModuleClass:
+    """Fac T of an indexed pair, as the double perp of its summands."""
     if pair.ids is None:
         raise ContractViolation("pair is not indexed against this enumeration")
-    return gen_class([ar.indecomposables[i] for i in pair.ids], ar)
+    return ModuleClass(ar, _members(fac_class(pair.ids, ar)))
 
 
 def _class_to_pair(cls: ModuleClass) -> SupportTauTiltingPair:
@@ -498,9 +544,13 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
     """Replace one summand (module or killed vertex) by the unique alternative.
 
     k is ("module", ar-index of a summand) or ("vertex", killed vertex).
-    Both candidate torsion classes of the almost complete pair are computed;
-    the completion differing from the input is returned, with the direction
-    flag (left iff the removed module is outside gen of the rest).
+    Both candidate torsion classes of the almost complete pair (U, Q) are
+    computed from the Hom table: Fac U as the double perp of U (`fac_class`)
+    and perp0(tau U) cap Q^perp0.  Each is turned back into a pair by its
+    Ext-projectives, which `ext_projectives` cross-checks against the Ext
+    table.  The completion differing from the input is returned, with the
+    direction flag (left iff the removed module is outside gen of the rest),
+    after `check_pair` has re-checked the axioms on the Hom table.
     """
     if pair.ids is None:
         raise ContractViolation("pair is not indexed against this enumeration")
@@ -518,18 +568,17 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
     else:
         raise ContractViolation("k must be ('module', id) or ('vertex', v)")
 
-    u_reps = [ar.indecomposables[i] for i in u_ids]
-    c1 = gen_class(u_reps, ar)
-    c2_members = frozenset(
-        y for y in range(ar.count)
-        if all(ar.hom_to_tau(y, u) == 0 for u in u_ids)
-        and all(ar.indecomposables[y].dims[v - 1] == 0 for v in q_kill)
-    )
-    c2 = ModuleClass(ar, c2_members)
-    if c1.members == c2.members:
+    c1 = fac_class(u_ids, ar)
+    _, in_masks = ar.hom_masks()
+    tau_u = _mask(ar.tau_links[u] for u in u_ids if u not in ar.projective_vertex)
+    c2 = _perp_mask(tau_u, in_masks)
+    for y, x in enumerate(ar.indecomposables):
+        if any(x.dims[v - 1] for v in q_kill):
+            c2 &= ~(1 << y)
+    if c1 == c2:
         raise ContractViolation("internal: the two completions coincide")
-    pair1 = _class_to_pair(c1)
-    pair2 = _class_to_pair(c2)
+    pair1 = _class_to_pair(ModuleClass(ar, _members(c1)))
+    pair2 = _class_to_pair(ModuleClass(ar, _members(c2)))
     if pair1.key() == pair.key():
         other, direction = pair2, "right"
     elif pair2.key() == pair.key():
@@ -757,7 +806,7 @@ class HasseQuiver:
     algebra: Algebra
     vertices: List[SupportTauTiltingPair]
     edges: List[Tuple[int, int, str]]     # (from, to, exchanged label): left mutations
-    classes: List[FrozenSet[int]]         # gen-classes per vertex (AR indices)
+    classes: List[FrozenSet[int]]         # Fac-classes per vertex (AR indices)
     ar: ARQuiverData
 
     @property
@@ -795,8 +844,14 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
           ar: Optional[ARQuiverData] = None, seed: int = 0) -> HasseQuiver:
     """Breadth-first mutation closure from (A, empty), edges = left mutations.
 
-    The edge set is recomputed independently as maximal gen-inclusions and the
-    two must coincide; the quiver is #A-regular with unique source and sink.
+    Table-driven: each vertex's class Fac T is the double perp of its
+    summands on the Hom table (`fac_class`), and `mutate` and `check_pair`
+    take classes and tau-rigidity from the same table.  The Ext-table
+    cross-check in `ext_projectives` still runs on every mutation.  The edge
+    set is recomputed independently as maximal inclusions of the classes and
+    the two must coincide; the quiver is #A-regular with unique source and
+    sink.  Trace-based `gen_class` and D Tr = tau are cross-checked against
+    this path in the tests.
     """
     if ar is None:
         ar = enumerate_indecomposables(a, seed=seed)
@@ -805,7 +860,7 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     check_pair(start, ar)
 
     vertices: List[SupportTauTiltingPair] = []
-    classes: List[FrozenSet[int]] = []
+    masks: List[int] = []
     index_of: Dict[tuple, int] = {}
     edges: Set[Tuple[int, int, str]] = set()
 
@@ -817,7 +872,7 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
             raise CapExceededError("possibly tau-tilting infinite: vertex cap exceeded")
         idx = len(vertices)
         vertices.append(pair)
-        classes.append(pair_torsion_class(pair, ar).members)
+        masks.append(fac_class(pair.ids, ar))
         index_of[key] = idx
         return idx
 
@@ -840,19 +895,20 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
             else:
                 edges.add((wi, vi, res.removed if res.added is None else res.added))
 
-    # independent recomputation: maximal inclusions among the gen-classes
+    # independent recomputation: maximal inclusions among the classes; a k
+    # with classes[j] < classes[k] < classes[i] is itself below i
     incl_edges = set()
-    for i in range(len(vertices)):
-        for j in range(len(vertices)):
-            if i == j or not classes[j] < classes[i]:
-                continue
-            if any(classes[j] < classes[k] < classes[i] for k in range(len(vertices))):
-                continue
-            incl_edges.add((i, j))
+    for i, mi in enumerate(masks):
+        below = [j for j, mj in enumerate(masks) if mj != mi and mj & mi == mj]
+        for j in below:
+            mj = masks[j]
+            if not any(masks[k] != mj and masks[k] & mj == mj for k in below):
+                incl_edges.add((i, j))
     mut_edges = {(i, j) for i, j, _ in edges}
     if mut_edges != incl_edges:
         raise ContractViolation("internal: mutation edges differ from maximal inclusions")
 
+    classes = [_members(m) for m in masks]
     hq = HasseQuiver(a, vertices, sorted(edges), classes, ar)
     n = a.vertex_count
     for i in range(hq.vertex_count):

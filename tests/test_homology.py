@@ -121,8 +121,13 @@ def test_transpose_is_involutive_off_projectives(a2):
 
 
 def test_d_tr_equals_tau(a3, a3rel):
-    for a in (a3, a3rel):
-        for m in (a.simple(1), a.simple(2), a.injective(2)):
+    wild4 = fixtures.load("wild4")
+    for a in (a3, a3rel, wild4):
+        ar = enumerate_indecomposables(a)
+        non_projective = [
+            x for i, x in enumerate(ar.indecomposables) if i not in ar.projective_vertex
+        ]
+        for m in [a.simple(1), a.simple(2), a.injective(2)] + non_projective:
             t1 = tau(m)
             t2 = dualize(transpose(m))
             if t1.is_zero():

@@ -200,6 +200,25 @@ def test_iso_conjugated(a3):
     assert phi is not None and phi.is_iso()
 
 
+def test_iso_non_invertible_assembly_raises(a3, monkeypatch):
+    # every summand matches, so a non-invertible assembled map is an internal
+    # fault, never "not isomorphic"
+    from tautilt.rep import Morphism
+
+    m = direct_sum(a3, [a3.simple(2), a3.projective(1)]).total
+    twisted = conjugate(m, seed=11)
+    real_is_iso = Morphism.is_iso
+
+    def fake_is_iso(self):
+        if self.source is m and self.target is twisted:
+            return False
+        return real_is_iso(self)
+
+    monkeypatch.setattr(Morphism, "is_iso", fake_is_iso)
+    with pytest.raises(ContractViolation, match="assembled isomorphism"):
+        iso_test(m, twisted)
+
+
 def test_two_111_of_skewed_not_isomorphic(skewed):
     under = skewed.projective(1)           # a acts as 1, b as 0
     over = skewed.injective(3)             # b acts as 1, a as 0

@@ -1,7 +1,7 @@
 import pytest
 
 from tautilt import fixtures
-from tautilt.errors import DomainError
+from tautilt.errors import ContractViolation, DomainError
 from tautilt.homology import enumerate_indecomposables, projective
 from tautilt.rep import decompose, direct_sum, hom_dim, is_isomorphic
 from tautilt.tautilting import (
@@ -22,9 +22,11 @@ from tautilt.tautilting import (
     gen_class,
     hasse,
     is_tau_rigid,
+    is_tau_rigid_indexed,
     is_torsion_class,
     mutate,
     pair_from_ids,
+    pair_torsion_class,
     support_tau_tilting_check,
     tilting_checks,
     torsion_theory_of,
@@ -59,6 +61,10 @@ def a3rel():
 @pytest.fixture(scope="module")
 def ar3rel(a3rel):
     return enumerate_indecomposables(a3rel)
+
+
+HEREDITARY_A4 = "algebra a4 { vertices: 1 2 3 4; arrows: a: 1->2, b: 2->3, c: 3->4; }"
+HEREDITARY_D4 = "algebra d4 { vertices: 1 2 3 4; arrows: a: 1->4, b: 2->4, c: 3->4; }"
 
 
 def by_label(ar, *labels):
@@ -520,18 +526,55 @@ def test_commutative_square_triple_agreement():
 def test_hereditary_counts_match_cluster_combinatorics():
     # independent cross-check: for hereditary Dynkin algebras the number of
     # support tau-tilting modules is the cluster number of the type
-    a4 = fixtures.algebra_from_source(
-        "algebra a4 { vertices: 1 2 3 4; arrows: a: 1->2, b: 2->3, c: 3->4; }"
-    )
+    a4 = fixtures.algebra_from_source(HEREDITARY_A4)
     ar = enumerate_indecomposables(a4)
     assert ar.count == 10                       # positive roots of A4
     assert hasse(a4, ar=ar).vertex_count == 42  # Catalan number C5
 
-    d4 = fixtures.algebra_from_source(
-        "algebra d4 { vertices: 1 2 3 4; arrows: a: 1->4, b: 2->4, c: 3->4; }"
-    )
+    d4 = fixtures.algebra_from_source(HEREDITARY_D4)
     ar = enumerate_indecomposables(d4)
     assert ar.count == 12                       # positive roots of D4
     hq = hasse(d4, ar=ar)
     assert hq.vertex_count == 50                # type D4 cluster number
     assert len(hq.edges) == 100                 # 4-regular
+
+
+def test_table_lattice_agrees_with_module_computations():
+    # the Hasse closure reads Fac T off the Hom table's double perp and
+    # tau-rigidity off hom_to_tau; the trace-based gen_class and tau of the
+    # rebuilt direct sum are the independent paths they must agree with
+    for src in (HEREDITARY_A4, HEREDITARY_D4, fixtures.WILD_4):
+        a = fixtures.algebra_from_source(src)
+        ar = enumerate_indecomposables(a)
+        hq = hasse(a, ar=ar)
+        for pair, members in zip(hq.vertices, hq.classes):
+            reps = [ar.indecomposables[i] for i in pair.ids]
+            assert gen_class(reps, ar).members == members, pair.label(ar)
+            assert pair_torsion_class(pair, ar).members == members
+            assert is_tau_rigid_indexed(pair.ids, ar)
+            assert is_tau_rigid(direct_sum(a, reps).total)
+        # every Hasse vertex is tau-rigid; two-summand sets also reach the
+        # non-rigid verdicts
+        verdicts = set()
+        for i in range(ar.count):
+            for j in range(i + 1, ar.count):
+                table = is_tau_rigid_indexed((i, j), ar)
+                pair_sum = direct_sum(a, [ar.indecomposables[i], ar.indecomposables[j]])
+                assert table == is_tau_rigid(pair_sum.total), (ar.labels[i], ar.labels[j])
+                verdicts.add(table)
+        assert verdicts == {True, False}
+
+
+def test_check_pair_table_rejects_non_tau_rigid(ar3):
+    # 001 and 010 vanish at vertex 1, but Hom(001, tau 010 = 001) != 0
+    pair = pair_from_ids(ar3, sorted(by_label(ar3, "001", "010")), frozenset({1}))
+    assert not is_tau_rigid(direct_sum(ar3.algebra, list(pair.summands)).total)
+    with pytest.raises(DomainError, match="module part is not tau-rigid"):
+        check_pair(pair, ar3)
+
+
+def test_check_pair_refuses_foreign_enumeration(ar2, ar3):
+    # the table verdict reads ids against ar, so they must index ar itself
+    pair = pair_from_ids(ar2, sorted(by_label(ar2, "01", "11")), frozenset())
+    with pytest.raises(ContractViolation, match="not indexed against this enumeration"):
+        check_pair(pair, ar3)
