@@ -49,6 +49,7 @@ from .tautilting import (
     bongartz_tau,
     bongartz_tilting,
     bricks,
+    check_pair,
     complete_pair,
     dagger,
     enumerate_torsion_classes_oracle,
@@ -589,8 +590,6 @@ def _pair_from_args(ar: ARQuiverData, summands: str, kill: str) -> SupportTauTil
         ids.append(ar.labels.index(lbl))
     kill_set = frozenset(int(v) for v in filter(None, (s.strip() for s in kill.split(","))))
     pair = pair_from_ids(ar, ids, kill_set)
-    from .tautilting import check_pair
-
     check_pair(pair, ar)
     return pair
 

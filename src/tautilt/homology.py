@@ -288,17 +288,6 @@ def tau(m: Representation) -> Representation:
     return result
 
 
-def tau_kernel_inclusion(m: Representation) -> Tuple[Representation, Morphism]:
-    """tau(m) together with its inclusion into nu(p1)."""
-    pres = minimal_presentation(m)
-    if pres.p1.is_zero():
-        t = zero_rep(m.algebra)
-        return t, zero_morphism(t, zero_rep(m.algebra))
-    _, _, dstar = star_of_presentation_map(pres)
-    nud = dualize_morphism(dstar)
-    return kernel_subrep(nud).to_rep()
-
-
 def tau_minus(m: Representation) -> Representation:
     """Inverse AR translate: Tr over the opposite, pulled back; 0 on injectives."""
     memo = m.algebra.memo("tau_minus")
@@ -308,15 +297,6 @@ def tau_minus(m: Representation) -> Representation:
     result = dualize(tau(dualize(m)))
     memo[key] = result
     return result
-
-
-def nakayama_of_vertices(a: Algebra, vertices: Sequence[int]) -> Representation:
-    """nu(sum of P(i)) = sum of I(i)."""
-    return direct_sum(a, [injective(a, i) for i in vertices]).total
-
-
-def nakayama_inverse_of_vertices(a: Algebra, vertices: Sequence[int]) -> Representation:
-    return direct_sum(a, [projective(a, i) for i in vertices]).total
 
 
 def injective_envelope_map(m: Representation) -> Morphism:

@@ -10,7 +10,6 @@ indices, computed from the exact Hom table (`ARQuiverData.hom_masks`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -23,6 +22,7 @@ from .homology import (
     enumerate_indecomposables,
     ext1,
     factor_left,
+    g_vector,
     projective,
     projective_sum,
     proj_dim_le1,
@@ -134,12 +134,6 @@ def fac_class(ids: Sequence[int], ar: ARQuiverData) -> int:
     return _perp_mask(_perp_mask(_mask(ids), out_masks), in_masks)
 
 
-@dataclass(frozen=True)
-class TorsionPairData:
-    torsion: ModuleClass
-    torsion_free: ModuleClass
-
-
 def perp_right(cls: ModuleClass) -> ModuleClass:
     """cls^{perp0}: everything receiving no map from cls."""
     out_masks, _ = cls.ar.hom_masks()
@@ -158,13 +152,6 @@ def is_torsion_class(cls: ModuleClass) -> Tuple[bool, Optional[int]]:
     if double.members == cls.members:
         return True, None
     return False, min(double.members.symmetric_difference(cls.members))
-
-
-def torsion_pair_of(cls: ModuleClass) -> TorsionPairData:
-    ok, witness = is_torsion_class(cls)
-    if not ok:
-        raise DomainError(f"not a torsion class (witness indecomposable {witness})")
-    return TorsionPairData(cls, perp_right(cls))
 
 
 def enumerate_torsion_classes_oracle(ar: ARQuiverData) -> List[ModuleClass]:
@@ -431,10 +418,13 @@ class SupportTauTiltingPair:
     ids: Optional[Tuple[int, ...]] = None
 
     def key(self):
+        """(sorted ids, kill) for an indexed pair; otherwise (sorted summand
+        g-vectors, kill), which determines the pair up to isomorphism
+        (Adachi-Iyama-Reiten 2014, Thm 5.5) without depending on bases."""
         if self.ids is not None:
             return (tuple(sorted(self.ids)), tuple(sorted(self.kill)))
         return (
-            tuple(sorted(r.key() for r in self.summands)),
+            tuple(sorted(g_vector(r) for r in self.summands)),
             tuple(sorted(self.kill)),
         )
 
@@ -840,18 +830,76 @@ class HasseQuiver:
         }
 
 
+def _cap_exceeded(name: str, value: int, interned: int) -> CapExceededError:
+    return CapExceededError(
+        f"possibly tau-tilting infinite: {name}={value} exceeded after {interned} pairs"
+    )
+
+
+def _confirm_same_pair(known: SupportTauTiltingPair, pair: SupportTauTiltingPair,
+                       seed: int) -> None:
+    """A g-vector key hit, confirmed summand by summand in g-vector order."""
+    for x, y in zip(sorted(known.summands, key=g_vector), sorted(pair.summands, key=g_vector)):
+        if not is_isomorphic(x, y, seed):
+            raise ContractViolation("internal: pairs with equal g-vectors are not isomorphic")
+
+
+def _mutation_closure(start: SupportTauTiltingPair, step, vertex_cap: int, seed: int):
+    """The breadth-first closure of start under step, shared by `hasse` and
+    `finiteness_probe`.
+
+    step(pair, interned) yields (neighbour, edge) for one pair; interned is
+    the live list of pairs found so far, and edge is None or (label, out),
+    an arrow pair -> neighbour when out is true and neighbour -> pair
+    otherwise.  Pairs are interned by `key()` in discovery order, and that
+    list is also the queue.  An unindexed pair is certified by `check_pair`
+    when it is new, and a key hit on one is confirmed by `is_isomorphic`;
+    indexed pairs arrive certified by `mutate`.  Returns the pairs and the
+    set of (from, to, label) edges.
+    """
+    vertices: List[SupportTauTiltingPair] = []
+    index_of: Dict[tuple, int] = {}
+    edges: Set[Tuple[int, int, str]] = set()
+
+    def intern(pair: SupportTauTiltingPair) -> int:
+        key = pair.key()
+        idx = index_of.get(key)
+        if idx is not None:
+            if pair.ids is None:
+                _confirm_same_pair(vertices[idx], pair, seed)
+            return idx
+        if len(vertices) >= vertex_cap:
+            raise _cap_exceeded("vertex_cap", vertex_cap, len(vertices))
+        idx = index_of[key] = len(vertices)
+        vertices.append(pair)
+        if pair.ids is None:
+            check_pair(pair)
+        return idx
+
+    intern(start)
+    for vi, pair in enumerate(vertices):
+        for neighbour, edge in step(pair, vertices):
+            wi = intern(neighbour)
+            if edge is not None:
+                label, out = edge
+                edges.add((vi, wi, label) if out else (wi, vi, label))
+    return vertices, edges
+
+
 def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
           ar: Optional[ARQuiverData] = None, seed: int = 0) -> HasseQuiver:
     """Breadth-first mutation closure from (A, empty), edges = left mutations.
 
-    Table-driven: each vertex's class Fac T is the double perp of its
-    summands on the Hom table (`fac_class`), and `mutate` and `check_pair`
-    take classes and tau-rigidity from the same table.  The Ext-table
-    cross-check in `ext_projectives` still runs on every mutation.  The edge
-    set is recomputed independently as maximal inclusions of the classes and
-    the two must coincide; the quiver is #A-regular with unique source and
-    sink.  Trace-based `gen_class` and D Tr = tau are cross-checked against
-    this path in the tests.
+    The closure is `_mutation_closure` with the n `mutate` moves of a pair
+    as its step.  Table-driven: each vertex's class Fac T is the double perp
+    of its summands on the Hom table (`fac_class`), and `mutate` and
+    `check_pair` take classes and tau-rigidity from the same table.  The
+    Ext-table cross-check in `ext_projectives` still runs on every mutation.
+    The edge set is recomputed independently as maximal inclusions of the
+    classes and the two must coincide; the quiver is #A-regular with unique
+    source and sink.  Trace-based `gen_class`, D Tr = tau and the exchange-
+    sequence closure of `finiteness_probe` are cross-checked against this
+    path in the tests.
     """
     if ar is None:
         ar = enumerate_indecomposables(a, seed=seed)
@@ -859,41 +907,17 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     start = pair_from_ids(ar, proj_ids, frozenset())
     check_pair(start, ar)
 
-    vertices: List[SupportTauTiltingPair] = []
-    masks: List[int] = []
-    index_of: Dict[tuple, int] = {}
-    edges: Set[Tuple[int, int, str]] = set()
-
-    def intern(pair: SupportTauTiltingPair) -> int:
-        key = pair.key()
-        if key in index_of:
-            return index_of[key]
-        if len(vertices) + 1 > vertex_cap:
-            raise CapExceededError("possibly tau-tilting infinite: vertex cap exceeded")
-        idx = len(vertices)
-        vertices.append(pair)
-        masks.append(fac_class(pair.ids, ar))
-        index_of[key] = idx
-        return idx
-
-    queue = deque([intern(start)])
-    seen_processed: Set[int] = set()
-    while queue:
-        vi = queue.popleft()
-        if vi in seen_processed:
-            continue
-        seen_processed.add(vi)
-        pair = vertices[vi]
-        moves = [("module", i) for i in (pair.ids or ())] + [("vertex", v) for v in sorted(pair.kill)]
+    def step(pair: SupportTauTiltingPair, _interned):
+        moves = [("module", i) for i in pair.ids] + [("vertex", v) for v in sorted(pair.kill)]
         for mv in moves:
             res = mutate(pair, ar, mv)
-            wi = intern(res.pair)
-            if wi not in seen_processed:
-                queue.append(wi)
             if res.direction == "left":
-                edges.add((vi, wi, res.removed))
+                yield res.pair, (res.removed, True)
             else:
-                edges.add((wi, vi, res.removed if res.added is None else res.added))
+                yield res.pair, (res.removed if res.added is None else res.added, False)
+
+    vertices, edges = _mutation_closure(start, step, vertex_cap, seed)
+    masks = [fac_class(p.ids, ar) for p in vertices]
 
     # independent recomputation: maximal inclusions among the classes; a k
     # with classes[j] < classes[k] < classes[i] is itself below i
@@ -995,16 +1019,18 @@ class ProbeResult:
     oracle_agrees: Optional[bool] = None
 
 
-def _pair_signature(summands: Sequence[Representation], kill: FrozenSet[int]):
-    return (tuple(sorted(r.dims for r in summands)), tuple(sorted(kill)))
-
-
 def finiteness_probe(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
                      dim_cap: int = 24, seed: int = 0) -> ProbeResult:
     """Left-mutation closure from (A, empty) via exchange sequences.
 
-    Needs no enumeration of indecomposables, so it runs on
-    representation-infinite algebras and reports 'unknown' at the caps.
+    The closure is `_mutation_closure` with one step per pair: restrict the
+    pair to the quotient by its killed vertices, run `exchange_step` on each
+    summand outside gen of the rest, and extend the results back.  Pairs are
+    identified by their g-vector keys, each hit confirmed by `is_isomorphic`,
+    and every new pair is certified by `check_pair`.  Needs no enumeration of
+    indecomposables, so it runs on representation-infinite algebras and
+    reports 'unknown' when the vertex or the dimension cap is hit.  When the
+    enumeration fits the oracle, the count is cross-checked against it.
     """
     if a.is_zero:
         return ProbeResult(True, 1, "zero algebra")
@@ -1012,82 +1038,36 @@ def finiteness_probe(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
         a, tuple(projective(a, i) for i in a.quiver.vertices), frozenset()
     )
     quotients: Dict[FrozenSet[int], object] = {}
-    buckets: Dict[tuple, List[SupportTauTiltingPair]] = {}
-    count = 0
 
-    def lookup(summands, kill) -> Optional[SupportTauTiltingPair]:
-        sig = _pair_signature(summands, kill)
-        for known in buckets.get(sig, []):
-            matched = [False] * len(known.summands)
-            good = True
-            for x in summands:
-                ok = False
-                for i, y in enumerate(known.summands):
-                    if not matched[i] and x.dims == y.dims and is_isomorphic(x, y, seed):
-                        matched[i] = True
-                        ok = True
-                        break
-                if not ok:
-                    good = False
-                    break
-            if good:
-                return known
-        return None
-
-    def intern(summands, kill) -> Tuple[SupportTauTiltingPair, bool]:
-        nonlocal count
-        found = lookup(summands, kill)
-        if found is not None:
-            return found, False
-        if count + 1 > vertex_cap:
-            raise CapExceededError("vertex cap")
-        pair = SupportTauTiltingPair(a, tuple(summands), frozenset(kill))
-        buckets.setdefault(_pair_signature(summands, kill), []).append(pair)
-        count += 1
-        check_pair(pair)
-        return pair, True
+    def step(pair: SupportTauTiltingPair, interned):
+        kill = pair.kill
+        vq = None
+        local = list(pair.summands)
+        if kill:
+            if kill not in quotients:
+                quotients[kill] = quotient_by_vertices(a, set(kill))
+            vq = quotients[kill]
+            local = [restrict_to_quotient(vq, x) for x in local]
+        if any(x.total_dim > dim_cap for x in local):
+            raise _cap_exceeded("dim_cap", dim_cap, len(interned))
+        for drop, x in enumerate(local):
+            u = local[:drop] + local[drop + 1:]
+            if u and in_gen(u, x):
+                continue   # right mutation; reached from above instead
+            res = exchange_step(u, x)
+            if any(s.total_dim > dim_cap for s in res.new_summands):
+                raise _cap_exceeded("dim_cap", dim_cap, len(interned))
+            if vq is None:
+                back, dead = res.new_summands, res.dead_vertices
+            else:
+                back = [extend_from_quotient(vq, s, a) for s in res.new_summands]
+                dead = {vq.kept[v - 1] for v in res.dead_vertices}
+            yield SupportTauTiltingPair(a, tuple(back), kill | frozenset(dead)), None
 
     try:
-        queue = deque()
-        first, _ = intern(start.summands, start.kill)
-        queue.append(first)
-        processed = set()
-        while queue:
-            pair = queue.popleft()
-            if pair.key() in processed:
-                continue
-            processed.add(pair.key())
-            kill = frozenset(pair.kill)
-            if kill:
-                if kill not in quotients:
-                    quotients[kill] = quotient_by_vertices(a, set(kill))
-                vq = quotients[kill]
-                local = [restrict_to_quotient(vq, x) for x in pair.summands]
-            else:
-                vq = None
-                local = list(pair.summands)
-            for drop in range(len(local)):
-                if any(x.total_dim > dim_cap for x in local):
-                    raise CapExceededError("dim cap")
-                u = [x for i, x in enumerate(local) if i != drop]
-                x = local[drop]
-                if u and in_gen(u, x):
-                    continue   # right mutation; reached from above instead
-                res = exchange_step(u, x)
-                if any(s.total_dim > dim_cap for s in res.new_summands):
-                    raise CapExceededError("dim cap")
-                if vq is None:
-                    back = res.new_summands
-                    new_kill = set(pair.kill) | set(res.dead_vertices)
-                else:
-                    back = [extend_from_quotient(vq, s, a) for s in res.new_summands]
-                    new_kill = set(pair.kill) | {vq.kept[v - 1] for v in res.dead_vertices}
-                new_pair, fresh = intern(back, frozenset(new_kill))
-                if fresh:
-                    queue.append(new_pair)
+        count = len(_mutation_closure(start, step, vertex_cap, seed)[0])
     except CapExceededError as e:
-        return ProbeResult(None, None,
-                           f"mutation closure exceeded caps ({e}); possibly tau-tilting infinite")
+        return ProbeResult(None, None, f"mutation closure exceeded caps: {e}")
 
     oracle_agrees = None
     try:

@@ -1,5 +1,6 @@
 import pytest
 
+import tautilt.tautilting as tt
 from tautilt import fixtures
 from tautilt.errors import ContractViolation, DomainError
 from tautilt.homology import enumerate_indecomposables, projective
@@ -65,6 +66,19 @@ def ar3rel(a3rel):
 
 HEREDITARY_A4 = "algebra a4 { vertices: 1 2 3 4; arrows: a: 1->2, b: 2->3, c: 3->4; }"
 HEREDITARY_D4 = "algebra d4 { vertices: 1 2 3 4; arrows: a: 1->4, b: 2->4, c: 3->4; }"
+# non-monomial relation b*a - d*c
+COMMUTATIVE_SQUARE = (
+    "algebra square { vertices: 1 2 3 4; "
+    "arrows: a: 1->2, b: 2->4, c: 1->3, d: 3->4; "
+    "relations: b*a - d*c; }"
+)
+# the double quiver of A3 with radical square zero: three pairs of its
+# support tau-tilting pairs share their summands' dimension vectors
+DOUBLE_A3_RAD2 = (
+    "algebra double_a3 { vertices: 1 2 3; "
+    "arrows: a: 1->2, b: 2->1, c: 2->3, d: 3->2; "
+    "relations: b*a, d*c, c*a, b*d, a*b, c*d; }"
+)
 
 
 def by_label(ar, *labels):
@@ -490,29 +504,88 @@ def test_probe_a3rel(a3rel):
 def test_probe_kronecker():
     res = finiteness_probe(fixtures.load("kronecker"), vertex_cap=24, dim_cap=12)
     assert res.tau_tilting_finite is None
+    assert "possibly tau-tilting infinite: dim_cap=12 exceeded after" in res.evidence
+
+    res = finiteness_probe(fixtures.load("kronecker"), vertex_cap=4, dim_cap=12)
+    assert res.tau_tilting_finite is None
+    assert "vertex_cap=4 exceeded after 4 pairs" in res.evidence
 
 
-def test_probe_matches_hasse_a3lin(a3, ar3):
-    res = finiteness_probe(a3)
-    assert res.count == hasse(a3, ar=ar3).vertex_count == 14
+def _summandwise_isomorphic(p, q):
+    if len(p.summands) != len(q.summands) or p.kill != q.kill:
+        return False
+    unmatched = list(q.summands)
+    for x in p.summands:
+        hit = next((y for y in unmatched if x.dims == y.dims and is_isomorphic(x, y)), None)
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return True
+
+
+@pytest.mark.parametrize("source,count,same_dims", [
+    (fixtures.A3_LINEAR, 14, 0), (fixtures.A3_RELATION, 12, 0),
+    (fixtures.WILD_4, 64, 0), (COMMUTATIVE_SQUARE, 46, 0), (DOUBLE_A3_RAD2, 20, 3),
+], ids=["a3lin", "a3rel", "wild4", "square", "double_a3"])
+def test_probe_pairs_equal_hasse_vertices(monkeypatch, source, count, same_dims):
+    # the exchange-sequence closure and the table-driven one reach the same
+    # pairs, compared by g-vector key; every new unindexed pair passes
+    # check_pair exactly once, so wrapping it collects the probe's pairs
+    a = fixtures.algebra_from_source(source)
+    probed = []
+    real_check = tt.check_pair
+
+    def collect(pair, ar=None):
+        if pair.ids is None:
+            probed.append(pair)
+        return real_check(pair, ar)
+
+    monkeypatch.setattr(tt, "check_pair", collect)
+    res = finiteness_probe(a)
+    monkeypatch.undo()
+    assert res.count == len(probed) == count
+    probe_keys = {p.key() for p in probed}
+    assert len(probe_keys) == count
+    hq = hasse(a)
+    assert hq.vertex_count == count
+    assert probe_keys == {tt.SupportTauTiltingPair(a, p.summands, p.kill).key()
+                          for p in hq.vertices}
+    # the iso-based identity the g-vector key replaced: no two interned pairs
+    # with the same dimension signature match summand by summand
+    by_signature = {}
+    for p in probed:
+        sig = (tuple(sorted(x.dims for x in p.summands)), tuple(sorted(p.kill)))
+        by_signature.setdefault(sig, []).append(p)
+    compared = 0
+    for group in by_signature.values():
+        for i, p in enumerate(group):
+            for q in group[i + 1:]:
+                assert not _summandwise_isomorphic(p, q), p.label()
+                compared += 1
+    assert compared == same_dims
+
+
+def test_probe_confirms_key_hits_by_isomorphism(monkeypatch, a3rel):
+    # a g-vector key hit whose summands fail the iso confirmation is an
+    # internal fault, not a new pair
+    monkeypatch.setattr(tt, "is_isomorphic", lambda m, n, seed=0: False)
+    with pytest.raises(ContractViolation, match="equal g-vectors are not isomorphic"):
+        finiteness_probe(a3rel)
 
 
 def test_hasse_vertex_cap():
     from tautilt.errors import CapExceededError
 
     wild = fixtures.load("wild4")
-    with pytest.raises(CapExceededError, match="possibly tau-tilting infinite"):
+    with pytest.raises(CapExceededError, match="possibly tau-tilting infinite") as exc:
         hasse(wild, vertex_cap=10)
+    assert "vertex_cap=10 exceeded after 10 pairs" in str(exc.value)
 
 
 def test_commutative_square_triple_agreement():
     # non-monomial relation b*a - d*c: mutation closure, maximal-inclusion
     # scan and the 2^n oracle must all agree
-    sq = fixtures.algebra_from_source(
-        "algebra square { vertices: 1 2 3 4; "
-        "arrows: a: 1->2, b: 2->4, c: 1->3, d: 3->4; "
-        "relations: b*a - d*c; }"
-    )
+    sq = fixtures.algebra_from_source(COMMUTATIVE_SQUARE)
     assert sq.dim == 9
     assert sq.projective(1).dims == (1, 1, 1, 1)
     ar = enumerate_indecomposables(sq)
