@@ -2,9 +2,9 @@
 and a content-addressed cache for AR enumerations.
 
 Exit codes: 0 success, 1 domain error (cap exceeded, not tau-rigid, ...),
-2 usage or parse error.  Seed and cache location come from --seed/--cache-dir
-or the TAUTILT_SEED / TAUTILT_CACHE environment variables, so runs are
-reproducible by contract.
+2 usage or parse error.  Every computation is deterministic, so reruns give
+byte-identical output; the cache location comes from --cache-dir or the
+TAUTILT_CACHE environment variable.
 """
 
 from __future__ import annotations
@@ -101,13 +101,12 @@ def resolve_module_sum(selector: str, algebra: Algebra, ar_supplier) -> Represen
 # --------------------------------------------------------------------------
 
 
-def cache_key(source_text: str, caps: dict, seed: int) -> str:
+def cache_key(source_text: str, caps: dict) -> str:
     h = hashlib.sha256()
     h.update(b"tautilt-cache-v1\0")
     h.update(__version__.encode())
     h.update(source_text.encode())
     h.update(json.dumps(caps, sort_keys=True).encode())
-    h.update(str(seed).encode())
     return h.hexdigest()
 
 
@@ -219,8 +218,6 @@ def emit_graph(data, fmt: str) -> str:
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda val: argparse.SUPPRESS) if suppress else (lambda val: val)
-    parser.add_argument("--seed", type=int,
-                        default=d(int(os.environ.get("TAUTILT_SEED", "0"))))
     parser.add_argument("--cache-dir",
                         default=d(os.environ.get("TAUTILT_CACHE", DEFAULT_CACHE_DIR)))
     parser.add_argument("--no-cache", action="store_true",
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Module selectors: P(i), I(i), S(i), an enumerated dim-vector label "
             "(disambiguated by trailing ', e.g. 111'), @file.json, or sums "
-            "joined by '+'. Seeds/caches: TAUTILT_SEED, TAUTILT_CACHE."
+            "joined by '+'. Cache directory: TAUTILT_CACHE."
         ),
     )
     _add_global_flags(p, suppress=False)
@@ -335,13 +332,13 @@ def _dispatch(args) -> int:
 
     def get_ar() -> ARQuiverData:
         if ar_box[0] is None:
-            key = cache_key(algebra.source_text or algebra.content_hash(), caps, args.seed)
+            key = cache_key(algebra.source_text or algebra.content_hash(), caps)
             cached = cache.load(key, algebra)
             if cached is not None:
                 ar_box[0] = cached
             else:
                 ar_box[0] = enumerate_indecomposables(
-                    algebra, count_cap=args.count_cap, dim_cap=args.dim_cap, seed=args.seed
+                    algebra, count_cap=args.count_cap, dim_cap=args.dim_cap
                 )
                 cache.store(key, ar_box[0])
         return ar_box[0]
@@ -485,7 +482,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "hasse":
-        hq = hasse(algebra, vertex_cap=args.vertex_cap, ar=get_ar(), seed=args.seed)
+        hq = hasse(algebra, vertex_cap=args.vertex_cap, ar=get_ar())
         fmt = args.format if args.format != "table" else "dot"
         out.write(emit_graph(hq, fmt))
         return 0
@@ -543,8 +540,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "probe":
-        res = finiteness_probe(algebra, vertex_cap=args.vertex_cap,
-                               dim_cap=args.dim_cap, seed=args.seed)
+        res = finiteness_probe(algebra, vertex_cap=args.vertex_cap, dim_cap=args.dim_cap)
         payload = {
             "tau_tilting_finite": res.tau_tilting_finite,
             "count": res.count,

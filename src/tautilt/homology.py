@@ -546,7 +546,7 @@ def _end_action_on_ext(space: ExtSpace, psi: Morphism) -> Matrix:
                             cols=space.dim)
 
 
-def ar_sequence(m: Representation, seed: int = 0) -> ARSequence:
+def ar_sequence(m: Representation) -> ARSequence:
     """The almost split sequence ending at an indecomposable non-projective m.
 
     The class is the unique (up to scalar) element of Ext^1(m, tau m)
@@ -619,12 +619,9 @@ class ARQuiverData:
     def count(self) -> int:
         return len(self.indecomposables)
 
-    def label_of(self, idx: int) -> str:
-        return self.labels[idx]
-
-    def index_of(self, m: Representation, seed: int = 0) -> Optional[int]:
+    def index_of(self, m: Representation) -> Optional[int]:
         for i, x in enumerate(self.indecomposables):
-            if x.dims == m.dims and is_isomorphic(x, m, seed):
+            if x.dims == m.dims and is_isomorphic(x, m):
                 return i
         return None
 
@@ -700,7 +697,7 @@ class ARQuiverData:
 
 
 def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
-                              dim_cap: int = DEFAULT_DIM_CAP, seed: int = 0) -> ARQuiverData:
+                              dim_cap: int = DEFAULT_DIM_CAP) -> ARQuiverData:
     """Neighbor closure from the projectives.
 
     Neighbors of X: summands of rad X (X projective), summands of X/soc X
@@ -709,7 +706,7 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
     cap overruns raise CapExceededError.
     """
     memo = a.memo("ar_quiver")
-    memo_key = (count_cap, dim_cap, seed)
+    memo_key = (count_cap, dim_cap)
     if memo_key in memo:
         return memo[memo_key]
 
@@ -722,7 +719,7 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
     injectives = {i: injective(a, i) for i in a.quiver.vertices}
 
     def find_or_add(m: Representation) -> int:
-        idx = data.index_of(m, seed)
+        idx = data.index_of(m)
         if idx is not None:
             return idx
         if m.total_dim > dim_cap or data.count + 1 > count_cap:
@@ -739,9 +736,9 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
         idx = queue.popleft()
         x = data.indecomposables[idx]
         proj_v = next((i for i, p in projectives.items()
-                       if p.dims == x.dims and is_isomorphic(p, x, seed)), None)
+                       if p.dims == x.dims and is_isomorphic(p, x)), None)
         inj_v = next((i for i, p in injectives.items()
-                      if p.dims == x.dims and is_isomorphic(p, x, seed)), None)
+                      if p.dims == x.dims and is_isomorphic(p, x)), None)
         if proj_v is not None:
             data.projective_vertex[idx] = proj_v
         if inj_v is not None:
@@ -750,19 +747,19 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
         if proj_v is not None:
             rad_rep, _ = radical_subrep(x).to_rep()
             if not rad_rep.is_zero():
-                for part, mult in decompose(rad_rep, seed).factors:
+                for part, mult in decompose(rad_rep).factors:
                     j = find_or_add(part)
                     data.arrows[(j, idx)] = data.arrows.get((j, idx), 0) + mult
         else:
             tm = tau(x)
             if x.total_dim + tm.total_dim > dim_cap:
                 raise CapExceededError("not representation-finite within caps")
-            seq = ar_sequence(x, seed)
+            seq = ar_sequence(x)
             t_idx = find_or_add(seq.start)
             data.tau_links[idx] = t_idx
             data.tau_inv_links[t_idx] = idx
             middle_ids: List[int] = []
-            for part, mult in decompose(seq.middle, seed).factors:
+            for part, mult in decompose(seq.middle).factors:
                 j = find_or_add(part)
                 middle_ids.extend([j] * mult)
                 data.arrows[(j, idx)] = data.arrows.get((j, idx), 0) + mult
@@ -775,7 +772,7 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
             soc = socle_subrep(x)
             quot, _ = quotient_rep(x, soc)
             if not quot.is_zero():
-                for part, _ in decompose(quot, seed).factors:
+                for part, _ in decompose(quot).factors:
                     find_or_add(part)
 
     memo[memo_key] = data

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -27,7 +27,7 @@ from .linalg import (
     subspace_sum,
 )
 
-ISO_SEARCH_RETRIES = 32
+SPLIT_RANDOM_CANDIDATES = 32
 
 
 class Representation:
@@ -451,10 +451,6 @@ def in_gen(generators: Sequence[Representation], y: Representation) -> bool:
     return trace_subrep(generators, y).is_full()
 
 
-def in_cogen(generators: Sequence[Representation], y: Representation) -> bool:
-    return trace_and_reject(generators, y)[1].is_zero()
-
-
 def radical_subrep(m: Representation) -> SubRep:
     """rad m = sum of the images of all arrow actions."""
     nverts = m.algebra.vertex_count
@@ -641,17 +637,20 @@ class DecompositionResult:
         return len(self.factors)
 
 
-def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
-                               rad: List[Morphism], seed: int) -> Optional[Morphism]:
-    """A nontrivial idempotent endomorphism of m, or None if none was found
-    within the retry bound (then End/rad is likely a division algebra)."""
-    rng = random.Random(seed)
+def _splitting_candidates(end_basis: List[Morphism], rad: List[Morphism]) -> Iterator[Morphism]:
+    """Endomorphisms to try for a splitting, in a fixed order and each built
+    only when asked for: the basis elements outside rad End, the pairwise
+    sums of basis elements, then SPLIT_RANDOM_CANDIDATES combinations with
+    coefficients in [-3, 3] from a fixed random.Random(0)."""
     rad_keys = {phi.flat() for phi in rad}
-    candidates: List[Morphism] = [phi for phi in end_basis if phi.flat() not in rad_keys]
-    for i in range(len(end_basis)):
-        for j in range(i + 1, len(end_basis)):
-            candidates.append(end_basis[i] + end_basis[j])
-    for _ in range(ISO_SEARCH_RETRIES):
+    for phi in end_basis:
+        if phi.flat() not in rad_keys:
+            yield phi
+    for i, phi in enumerate(end_basis):
+        for psi in end_basis[i + 1:]:
+            yield phi + psi
+    rng = random.Random(0)
+    for _ in range(SPLIT_RANDOM_CANDIDATES):
         acc = None
         for phi in end_basis:
             c = rng.randint(-3, 3)
@@ -659,9 +658,14 @@ def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
                 term = phi.scale(c)
                 acc = term if acc is None else acc + term
         if acc is not None:
-            candidates.append(acc)
+            yield acc
 
-    for x in candidates:
+
+def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
+                               rad: List[Morphism]) -> Optional[Morphism]:
+    """A nontrivial idempotent endomorphism of m, or None if no candidate
+    split (then End/rad is likely a division algebra)."""
+    for x in _splitting_candidates(end_basis, rad):
         if x.is_zero():
             continue
         mu = _min_poly(x)
@@ -695,7 +699,7 @@ def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
     return None
 
 
-def decompose(m: Representation, seed: int = 0) -> DecompositionResult:
+def decompose(m: Representation) -> DecompositionResult:
     """Split into certified indecomposables (Krull-Schmidt).
 
     End(m) is computed exactly; its radical comes from the trace form; a
@@ -715,7 +719,7 @@ def decompose(m: Representation, seed: int = 0) -> DecompositionResult:
         if len(basis) - len(rad) == 1:
             parts.append(x)
             return identity_morphism(x)
-        e = _find_splitting_idempotent(x, basis, rad, seed)
+        e = _find_splitting_idempotent(x, basis, rad)
         if e is None:
             raise NotCertifiableError(
                 "non-split endomorphism ring: residue division algebra of dim > 1 over Q"
@@ -789,7 +793,7 @@ def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
     return None
 
 
-def iso_test(m: Representation, n: Representation, seed: int = 0) -> Optional[Morphism]:
+def iso_test(m: Representation, n: Representation) -> Optional[Morphism]:
     """An explicit isomorphism m = n, or None (backed by decompose-and-match)."""
     if m.algebra is not n.algebra:
         raise ContractViolation("different algebras")
@@ -804,8 +808,8 @@ def iso_test(m: Representation, n: Representation, seed: int = 0) -> Optional[Mo
     if hom_dim(m, n) == 0:
         return None
 
-    dm = decompose(m, seed)
-    dn = decompose(n, seed)
+    dm = decompose(m)
+    dn = decompose(n)
     if sorted(p.dims for p in dm.parts) != sorted(p.dims for p in dn.parts):
         return None
     used = [False] * len(dn.parts)
@@ -840,8 +844,8 @@ def iso_test(m: Representation, n: Representation, seed: int = 0) -> Optional[Mo
     return Morphism(m, n, iso.maps, verify=True)
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
-    return iso_test(m, n, seed) is not None
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    return iso_test(m, n) is not None
 
 
 # -- transport along vertex quotients ------------------------------------------

@@ -239,9 +239,16 @@ def test_dagger_verb(tmp_path, capsys):
     assert payload["kill"] == [1, 2]
 
 
-def test_determinism_under_seed(tmp_path, capsys):
-    a = invoke(capsys, "--cache-dir", str(tmp_path), "--no-cache", "--seed", "7",
+def test_determinism_across_runs(tmp_path, capsys):
+    a = invoke(capsys, "--cache-dir", str(tmp_path), "--no-cache",
                "--format", "json", "hasse", alg("skewed"))
-    b = invoke(capsys, "--cache-dir", str(tmp_path), "--no-cache", "--seed", "7",
+    b = invoke(capsys, "--cache-dir", str(tmp_path), "--no-cache",
                "--format", "json", "hasse", alg("skewed"))
     assert a == b
+
+
+def test_seed_option_is_gone(capsys):
+    # runs are deterministic, so there is no seed to pass
+    code, _, err = invoke(capsys, "--seed", "0", "hasse", alg("a2"))
+    assert code == 2
+    assert "--seed" not in err   # not among the options the usage lists

@@ -1,7 +1,7 @@
-"""Byte-for-byte output of `hasse` (JSON and DOT) and `probe` (JSON) against
-committed goldens.  Regenerate a golden only for a deliberate output change:
-run the verb with `--no-cache --format <fmt>` and store stdout under
-tests/golden/<verb>-<fixture>.<fmt>.
+"""Byte-for-byte output of `hasse` (JSON and DOT), `probe` (JSON) and
+`indecs` (JSON) against committed goldens.  Regenerate a golden only for a
+deliberate output change: run the verb with `--no-cache --format <fmt>` and
+store stdout under tests/golden/<verb>-<fixture>.<fmt>.
 """
 
 from pathlib import Path
@@ -18,6 +18,9 @@ CASES = [("hasse", fix, fmt)
          for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4")
          for fmt in ("json", "dot")]
 CASES += [("probe", fix, "json") for fix in ("a3rel", "wild4")]
+# the indecomposables' matrices depend on the idempotents `decompose` splits by
+CASES += [("indecs", fix, "json")
+          for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4")]
 
 
 @pytest.mark.parametrize("verb,fixture,fmt", CASES)

@@ -1,11 +1,14 @@
 import pytest
 from helpers import R, conjugate, skewed_121
 
+import tautilt.rep as rep
 from tautilt import fixtures
 from tautilt.errors import ContractViolation
 from tautilt.rep import (
+    Morphism,
     decompose,
     direct_sum,
+    end_radical,
     hom_basis,
     hom_dim,
     identity_morphism,
@@ -152,6 +155,38 @@ def test_decompose_121_indecomposable(skewed):
     d = decompose(skewed_121(skewed))
     assert len(d.parts) == 1
     assert d.factors[0][1] == 1
+
+
+def test_splitting_candidates_are_fixed_and_lazy(a2, monkeypatch):
+    # End(S1 + S2) is spanned by the two projections, both outside rad End
+    m = direct_sum(a2, [a2.simple(1), a2.simple(2)]).total
+    basis = hom_basis(m, m)
+    rad = end_radical(m, basis)
+    stream = [x.flat() for x in rep._splitting_candidates(basis, rad)]
+    assert stream == [x.flat() for x in rep._splitting_candidates(basis, rad)]
+    assert stream[:3] == [basis[0].flat(), basis[1].flat(), (basis[0] + basis[1]).flat()]
+    assert len(stream) <= 3 + rep.SPLIT_RANDOM_CANDIDATES
+
+    def boom(*args):
+        raise AssertionError("candidate built before it was asked for")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Morphism, "__add__", boom)
+        mp.setattr(Morphism, "scale", boom)
+        assert next(rep._splitting_candidates(basis, rad)).flat() == basis[0].flat()
+
+    # the first projection splits m, so the search asks for no second candidate
+    drawn = []
+    real = rep._splitting_candidates
+
+    def counted(b, r):
+        for x in real(b, r):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(rep, "_splitting_candidates", counted)
+    assert rep._find_splitting_idempotent(m, basis, rad) is not None
+    assert len(drawn) == 1
 
 
 def test_decompose_involutive_with_direct_sum(a3rel):
