@@ -8,12 +8,11 @@ isomorphism is a separate test.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import sympy
 
 from .algebra import Algebra, Path, VertexQuotient
 from .errors import ContractViolation, NotCertifiableError
@@ -427,24 +426,27 @@ def restrict_through_inclusion(incl: Morphism, f: Morphism) -> Morphism:
 # -- trace, reject, structural submodules ------------------------------------------
 
 
-def trace_and_reject(generators: Sequence[Representation], y: Representation) -> Tuple[SubRep, SubRep]:
-    """trace = sum of images of all maps from the generators into y;
-    reject = intersection of kernels of all maps from y into the generators."""
+def trace_subrep(generators: Sequence[Representation], y: Representation) -> SubRep:
+    """trace = sum of images of all maps from the generators into y."""
     nverts = y.algebra.vertex_count
     tr = [Subspace.zero(y.dims[v]) for v in range(nverts)]
-    rj = [Subspace.full(y.dims[v]) for v in range(nverts)]
     for g in generators:
         for phi in hom_basis(g, y):
             for v in range(nverts):
                 tr[v] = subspace_sum(tr[v], Subspace.from_matrix(phi.maps[v].transpose()))
+    return SubRep(y, tr, check=False)
+
+
+def trace_and_reject(generators: Sequence[Representation], y: Representation) -> Tuple[SubRep, SubRep]:
+    """The trace (see trace_subrep) and the reject = intersection of kernels
+    of all maps from y into the generators."""
+    nverts = y.algebra.vertex_count
+    rj = [Subspace.full(y.dims[v]) for v in range(nverts)]
+    for g in generators:
         for phi in hom_basis(y, g):
             for v in range(nverts):
                 rj[v] = subspace_intersection(rj[v], kernel_basis(phi.maps[v]))
-    return SubRep(y, tr, check=False), SubRep(y, rj, check=False)
-
-
-def trace_subrep(generators: Sequence[Representation], y: Representation) -> SubRep:
-    return trace_and_reject(generators, y)[0]
+    return trace_subrep(generators, y), SubRep(y, rj, check=False)
 
 
 def in_gen(generators: Sequence[Representation], y: Representation) -> bool:
@@ -540,21 +542,6 @@ def _min_poly(endo: Morphism) -> List[Fraction]:
         current = endo @ current
 
 
-def _factor_poly(coeffs: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
-    """Factor a monic rational polynomial; returns (factor coeffs low->high, mult)."""
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fac = sympy.Poly(fac, t)
-        cs = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in reversed(fac.all_coeffs())]
-        lead = cs[-1]
-        cs = [c / lead for c in cs]
-        out.append((cs, int(mult)))
-    return out
-
-
 def _poly_of_endo(coeffs: Sequence[Fraction], endo: Morphism) -> Morphism:
     acc = zero_morphism(endo.source, endo.source)
     power = identity_morphism(endo.source)
@@ -563,6 +550,21 @@ def _poly_of_endo(coeffs: Sequence[Fraction], endo: Morphism) -> Morphism:
             acc = acc + power.scale(c)
         power = power @ endo
     return acc
+
+
+# -- exact polynomials over Q: Fraction coefficient lists, low -> high ---------------
+
+
+def _poly_norm(p: Sequence[Fraction]) -> List[Fraction]:
+    """Drop zero leading coefficients, keeping at least the constant term."""
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_monic(p: Sequence[Fraction]) -> List[Fraction]:
+    return [c / p[-1] for c in p]
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
@@ -575,41 +577,6 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
     return out
 
 
-def _poly_xgcd(a: List[Fraction], b: List[Fraction]):
-    """Extended gcd of rational polynomials (coeff lists low->high)."""
-
-    def norm(p):
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    def divmod_poly(num, den):
-        num = list(num)
-        den = norm(den)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den) and any(num):
-            num = norm(num)
-            if len(num) < len(den):
-                break
-            shift = len(num) - len(den)
-            factor = num[-1] / den[-1]
-            q[shift] += factor
-            for i, d in enumerate(den):
-                num[shift + i] -= factor * d
-            num = norm(num)
-        return norm(q), norm(num)
-
-    r0, r1 = norm(list(a)), norm(list(b))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, (r if any(r) else [Fraction(0)])
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
 def _poly_sub(a, b):
     n = max(len(a), len(b))
     out = [Fraction(0)] * n
@@ -617,9 +584,138 @@ def _poly_sub(a, b):
         out[i] += x
     for i, y in enumerate(b):
         out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+    return _poly_norm(out)
+
+
+def _poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
+
+
+def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
+    """Quotient and remainder of long division by a nonzero den."""
+    num, den = _poly_norm(num), _poly_norm(den)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(num):
+        shift = len(num) - len(den)
+        factor = num[-1] / den[-1]
+        q[shift] += factor
+        for i, d in enumerate(den):
+            num[shift + i] -= factor * d
+        num = _poly_norm(num)
+    return _poly_norm(q), num
+
+
+def _poly_exact_div(num: Sequence[Fraction], den: Sequence[Fraction]) -> List[Fraction]:
+    q, r = _poly_divmod(num, den)
+    if any(r):
+        raise ContractViolation("internal: polynomial division is not exact")
+    return q
+
+
+def _poly_xgcd(a: List[Fraction], b: List[Fraction]):
+    """Extended gcd of rational polynomials: (g, s, t) with s*a + t*b = g."""
+    r0, r1 = _poly_norm(a), _poly_norm(b)
+    s0, s1 = [Fraction(1)], [Fraction(0)]
+    t0, t1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+    return r0, s0, t0
+
+
+def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    """Monic gcd, by Euclid without the Bezout cofactors."""
+    a, b = _poly_norm(a), _poly_norm(b)
+    while any(b):
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_monic(a)
+
+
+def _square_free_parts(f: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
+    """Yun's square-free decomposition of a monic f of positive degree:
+    pairs (a_i, i) with f = prod a_i^i, each a_i monic, square-free and of
+    positive degree, pairwise coprime."""
+    out = []
+    df = _poly_deriv(f)
+    a = _poly_gcd(f, df)
+    b = _poly_exact_div(f, a)
+    d = _poly_sub(_poly_exact_div(df, a), _poly_deriv(b))
+    i = 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        b = _poly_exact_div(b, a)
+        d = _poly_sub(_poly_exact_div(d, a), _poly_deriv(b))
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
     return out
+
+
+def _primitive_int(p: Sequence[Fraction]) -> List[int]:
+    """The primitive integer multiple of a monic p (its leading coefficient
+    stays positive)."""
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _divisors(n: int) -> List[int]:
+    """Positive divisors of a nonzero integer."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _rational_roots(p: List[Fraction]) -> List[Fraction]:
+    """Rational roots of a square-free p, by the rational root theorem on its
+    primitive integer form c_0 + ... + c_n t^n: a root u/v in lowest terms
+    has u | c_0 and v | c_n."""
+    ints = _primitive_int(p)
+    roots = []
+    if ints[0] == 0:          # square-free, so 0 is a simple root
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    n = len(ints) - 1
+    if n == 0:
+        return roots
+    for v in _divisors(ints[-1]):
+        for u in _divisors(ints[0]):
+            if math.gcd(u, v) != 1:
+                continue
+            for w in (u, -u):
+                if sum(c * w ** i * v ** (n - i) for i, c in enumerate(ints)) == 0:
+                    roots.append(Fraction(w, v))
+    return roots
+
+
+def _factor_poly(coeffs: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
+    """Coprime factorization of a rational polynomial into monic blocks with
+    multiplicities: (block coeffs low->high, mult), prod block^mult = the
+    monic input.
+
+    Yun's square-free decomposition, then the rational roots of each
+    square-free part; what is left of a part after its linear factors is
+    one block.  Blocks are sorted as sympy's factor_list sorts its factors:
+    by (degree, multiplicity, primitive integer coefficients high->low).  A
+    root-free block of degree <= 3 is irreducible, so the output is the
+    factorization into irreducibles unless a block has degree >= 4; such a
+    block may still be reducible, but it is coprime to every other block,
+    which is all a splitting idempotent needs."""
+    f = _poly_norm([Fraction(c) for c in coeffs])
+    if len(f) == 1:
+        return []
+    blocks = []
+    for part, mult in _square_free_parts(_poly_monic(f)):
+        for r in _rational_roots(part):
+            blocks.append(([-r, Fraction(1)], mult))
+            part = _poly_exact_div(part, [-r, Fraction(1)])
+        if len(part) > 1:
+            blocks.append((part, mult))
+    blocks.sort(key=lambda b: (len(b[0]), b[1], _primitive_int(b[0])[::-1]))
+    return blocks
 
 
 @dataclass
@@ -664,7 +760,13 @@ def _splitting_candidates(end_basis: List[Morphism], rad: List[Morphism]) -> Ite
 def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
                                rad: List[Morphism]) -> Optional[Morphism]:
     """A nontrivial idempotent endomorphism of m, or None if no candidate
-    split (then End/rad is likely a division algebra)."""
+    split (then End/rad is likely a division algebra).
+
+    For a candidate x, _factor_poly splits the minimal polynomial mu of x
+    exactly over Q into pairwise coprime blocks; with f the first block to
+    its multiplicity and g = mu/f, Bezout a*f + b*g = 1 makes (b*g)(x) the
+    projection onto ker f(x) along ker g(x).  A candidate whose mu is one
+    block is skipped."""
     for x in _splitting_candidates(end_basis, rad):
         if x.is_zero():
             continue

@@ -49,7 +49,7 @@ from .rep import (
     restrict_to_quotient,
     sub_sum,
     support_rank,
-    trace_and_reject,
+    trace_subrep,
     zero_morphism,
     zero_rep,
 )
@@ -207,7 +207,7 @@ def torsion_theory_of(cls: ModuleClass, x: Representation):
 
         tx = SubRep(x, [Subspace.zero(d) for d in x.dims], check=False)
     else:
-        tx = trace_and_reject(gens, x)[0]
+        tx = trace_subrep(gens, x)
     quot, _ = quotient_rep(x, tx)
     return tx, quot
 

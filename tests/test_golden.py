@@ -20,7 +20,7 @@ CASES = [("hasse", fix, fmt)
 CASES += [("probe", fix, "json") for fix in ("a3rel", "wild4")]
 # the indecomposables' matrices depend on the idempotents `decompose` splits by
 CASES += [("indecs", fix, "json")
-          for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4")]
+          for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4", "wild5")]
 
 
 @pytest.mark.parametrize("verb,fixture,fmt", CASES)
