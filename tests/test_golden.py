@@ -15,7 +15,7 @@ FIXTURES = HERE.parent / "fixtures"
 GOLDEN = HERE / "golden"
 
 CASES = [("hasse", fix, fmt)
-         for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4")
+         for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4", "wild5")
          for fmt in ("json", "dot")]
 CASES += [("probe", fix, "json") for fix in ("a3rel", "wild4")]
 # the indecomposables' matrices depend on the idempotents `decompose` splits by
