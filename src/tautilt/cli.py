@@ -16,11 +16,11 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .algebra import Algebra, algebra_from_source
-from .errors import ParseError, TautiltError
+from .errors import ContractViolation, ParseError, TautiltError
 from .homology import (
     ARQuiverData,
     ARSequenceData,
@@ -42,6 +42,7 @@ from .rep import (
     hom_dim,
     rep_from_json,
     rep_to_json,
+    validate,
 )
 from .tautilting import (
     DEFAULT_VERTEX_CAP,
@@ -111,10 +112,19 @@ def cache_key(source_text: str, caps: dict) -> str:
 
 
 def ar_from_json(algebra: Algebra, payload: dict) -> ARQuiverData:
+    """AR data from a cache payload, checked before it is trusted: the Hom and
+    Ext tables are derived from it, so a wrong entry would change them all."""
+    if payload["algebra"] != algebra.content_hash():
+        raise ContractViolation("entry belongs to a different algebra")
     data = ARQuiverData(algebra)
     for item in payload["indecomposables"]:
-        data.indecomposables.append(rep_from_json(algebra, item["rep"]))
-        data.labels.append(item["label"])
+        rep = rep_from_json(algebra, item["rep"])
+        problem = validate(rep)
+        if problem is not None:
+            raise ContractViolation(f"{item['label']}: {problem}")
+        data.add(rep)
+        if data.labels[-1] != item["label"] or list(rep.dims) != item["dims"]:
+            raise ContractViolation(f"{item['label']}: label or dims disagree with the module")
     data.tau_links = {int(k): v for k, v in payload["tau"].items()}
     data.tau_inv_links = {v: k for k, v in data.tau_links.items()}
     for s in payload["sequences"]:
@@ -122,7 +132,49 @@ def ar_from_json(algebra: Algebra, payload: dict) -> ARQuiverData:
     data.arrows = {(i, j): mult for i, j, mult in payload["arrows"]}
     data.projective_vertex = {int(k): v for k, v in payload["projectives"].items()}
     data.injective_vertex = {int(k): v for k, v in payload["injectives"].items()}
+    _check_ar_links(data)
     return data
+
+
+def _check_ar_links(data: ARQuiverData) -> None:
+    """tau, the AR sequences, the arrows and the projective and injective
+    marks agree with each other and with the modules' dimension vectors."""
+    a = data.algebra
+    everything = set(range(data.count))
+    dims = [x.dims for x in data.indecomposables]
+
+    def total(ids) -> List[int]:
+        return [sum(dims[j][v] for j in ids) for v in range(a.vertex_count)]
+
+    for marks, build in ((data.projective_vertex, projective), (data.injective_vertex, injective)):
+        if not set(marks) <= everything or sorted(marks.values()) != list(a.quiver.vertices):
+            raise ContractViolation("projective or injective marks do not cover the vertices once")
+        if any(dims[x] != build(a, i).dims for x, i in marks.items()):
+            raise ContractViolation("a projective or injective mark has the wrong dimension vector")
+    non_projective = everything - set(data.projective_vertex)
+    if set(data.tau_links) != non_projective or set(data.sequences) != non_projective:
+        raise ContractViolation("tau and the AR sequences must end at exactly the non-projectives")
+    if sorted(data.tau_links.values()) != sorted(everything - set(data.injective_vertex)):
+        raise ContractViolation("tau is not a bijection onto the non-injectives")
+    into: Dict[int, List[int]] = {}
+    for (j, y), mult in data.arrows.items():
+        if j not in everything or y not in everything or mult <= 0:
+            raise ContractViolation(f"bad arrow entry {[j, y, mult]}")
+        into.setdefault(y, []).extend([j] * mult)
+    for y in everything:
+        middle = sorted(into.get(y, []))
+        if y in data.projective_vertex:
+            # the arrows into P(i) are the summands of rad P(i)
+            expected = list(dims[y])
+            expected[data.projective_vertex[y] - 1] -= 1
+            if total(middle) != expected:
+                raise ContractViolation(f"arrows into {data.labels[y]} do not add up to its radical")
+            continue
+        seq = data.sequences[y]
+        if seq.end != y or seq.start != data.tau_links[y] or sorted(seq.middle) != middle:
+            raise ContractViolation(f"AR sequence at {data.labels[y]} disagrees with tau or arrows")
+        if total(middle) != [s + e for s, e in zip(dims[seq.start], dims[y])]:
+            raise ContractViolation(f"AR sequence at {data.labels[y]} is not additive")
 
 
 class ARCache:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Path
 from .errors import CapExceededError, ContractViolation, NotCertifiableError
-from .linalg import Matrix, Subspace, subspace_complement
+from .linalg import ONE, ZERO, Matrix, Subspace, rref_rank, subspace_complement
 from .rep import (
     Morphism,
     Representation,
@@ -426,10 +426,6 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
     return space
 
 
-def ext_dim(m: Representation, n: Representation) -> int:
-    return ext1(m, n).dim
-
-
 def _combination_coefficients(composed: List[Morphism], target_flat: List[Fraction]) -> Optional[List[Fraction]]:
     """Coefficients c with sum c_k composed_k = target, or None."""
     if not composed:
@@ -598,7 +594,16 @@ class ARSequenceData:
 
 class ARQuiverData:
     """The enumerated indecomposables of a representation-finite algebra with
-    tau links, AR sequences, and the irreducible-arrow multiset."""
+    tau links, AR sequences, and the irreducible-arrow multiset.
+
+    The Hom and Ext tables are read off this data, not computed module by
+    module: `hom_table` solves the mesh relations and `ext_table` adds one
+    syzygy per indecomposable.  They trust the arrows and tau links, so the
+    Hom table must reproduce every dimension vector (rows of the projectives,
+    columns of the injectives), and `ext_projectives` still compares the
+    Auslander-Smalo test with the Ext table.  `ext1` keeps its own AR-formula
+    check for single queries and for `ar_sequence`.
+    """
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
@@ -633,16 +638,59 @@ class ARQuiverData:
         self.labels.append(base + suffix)
         return len(self.indecomposables) - 1
 
-    # -- cached pairwise tables ------------------------------------------------
+    # -- pairwise tables read off the AR quiver --------------------------------
 
     def hom_table(self) -> List[List[int]]:
+        """H[x][y] = dim Hom(X_x, X_y), solved from the meshes.
+
+        Over the Auslander algebra the simple functor S_y has the minimal
+        projective resolution 0 -> (-, tau Y) -> (-, E) -> (-, Y) -> S_y -> 0
+        from the AR sequence ending at Y, or 0 -> (-, rad P) -> (-, P) -> S_P
+        -> 0 for a projective P.  Every X_x has End/rad = Q (`decompose`
+        certifies it), so S_y(X_x) has dimension delta_xy, and with the mesh
+        matrix R[y][y] = 1, R[y][j] -= arrows[(j, y)], R[y][tau y] += 1 this
+        reads H R^T = I.  The solve is one exact row reduction of [R | I];
+        H must come out a non-negative integer matrix that reproduces every
+        dimension vector, H[P(i)][x] = dim (X_x)_i = H[x][I(i)].
+        """
         if self._hom_table is None:
             n = self.count
-            self._hom_table = [
-                [hom_dim(self.indecomposables[i], self.indecomposables[j]) for j in range(n)]
-                for i in range(n)
-            ]
+            mesh = [[0] * n for _ in range(n)]
+            for y in range(n):
+                mesh[y][y] += 1
+                if y not in self.projective_vertex:
+                    mesh[y][self.tau_links[y]] += 1
+            for (j, y), mult in self.arrows.items():
+                mesh[y][j] -= mult
+            aug = Matrix.from_rows(
+                [[Fraction(v) if v else ZERO for v in row] + [ONE if c == y else ZERO for c in range(n)]
+                 for y, row in enumerate(mesh)],
+                cols=2 * n,
+            )
+            red, pivots, _ = rref_rank(aug)
+            if pivots != list(range(n)):
+                raise ContractViolation("internal: AR mesh matrix is singular")
+            inverse = [red.row(y)[n:] for y in range(n)]
+            if any(h.denominator != 1 or h.numerator < 0 for row in inverse for h in row):
+                raise ContractViolation("internal: AR mesh gives a non-integral Hom table")
+            hom = [[h.numerator for h in col] for col in zip(*inverse)]  # H = (R^-1)^T
+            self._check_dimension_vectors(hom)
+            self._hom_table = hom
         return self._hom_table
+
+    def _check_dimension_vectors(self, hom: List[List[int]]) -> None:
+        """dim Hom(P(i), X) = dim X_i = dim Hom(X, I(i)) on every row and column."""
+        proj_index = {v: x for x, v in self.projective_vertex.items()}
+        inj_index = {v: x for x, v in self.injective_vertex.items()}
+        for i in self.algebra.quiver.vertices:
+            if i not in proj_index or i not in inj_index:
+                raise ContractViolation(f"internal: enumeration lacks P({i}) or I({i})")
+            p, q = proj_index[i], inj_index[i]
+            for x, m in enumerate(self.indecomposables):
+                if hom[p][x] != m.dims[i - 1] or hom[x][q] != m.dims[i - 1]:
+                    raise ContractViolation(
+                        f"internal: Hom table from the AR mesh misses dim vector at {self.labels[x]}"
+                    )
 
     def hom_masks(self) -> Tuple[List[int], List[int]]:
         """The Hom table as bitmasks over AR indices: (out, into), where bit y
@@ -668,13 +716,46 @@ class ARQuiverData:
         return self.hom_table()[i][self.tau_links[j]]
 
     def ext_table(self) -> List[List[int]]:
+        """E[x][y] = dim Ext^1(X_x, X_y), from the Hom table and one minimal
+        presentation per indecomposable.
+
+        Hom(-, Y) on 0 -> Omega X -> P0 -> X -> 0 is exact up to Ext^1(X, Y)
+        since Ext^1(P0, -) = 0, so ext(X, Y) = hom(Omega X, Y) - hom(P0, Y)
+        + hom(X, Y), where hom(P0, Y) sums dim Y_v over the top vertices v of X
+        and hom(Omega X, Y) sums rows of H over the summands of Omega X.
+        """
         if self._ext_table is None:
-            n = self.count
-            self._ext_table = [
-                [ext_dim(self.indecomposables[i], self.indecomposables[j]) for j in range(n)]
-                for i in range(n)
-            ]
+            hom = self.hom_table()
+            proj_index = {v: x for x, v in self.projective_vertex.items()}
+            dim_rows = {v: [t.dims[v - 1] for t in self.indecomposables]
+                        for v in self.algebra.quiver.vertices}
+            table = []
+            for x, m in enumerate(self.indecomposables):
+                if x in self.projective_vertex:  # Ext^1(P, -) = 0
+                    table.append([0] * self.count)
+                    continue
+                pres = minimal_presentation(m)
+                plus = [hom[s] for s in self._syzygy_summands(pres, proj_index)] + [hom[x]]
+                minus = [dim_rows[v] for v in pres.p0.vertices]
+                row = [sum(p) - sum(q) for p, q in zip(zip(*plus), zip(*minus))]
+                if min(row) < 0:
+                    raise ContractViolation(f"internal: negative Ext^1 out of {self.labels[x]}")
+                table.append(row)
+            self._ext_table = table
         return self._ext_table
+
+    def _syzygy_summands(self, pres: Presentation, proj_index: Dict[int, int]) -> List[int]:
+        """AR indices of the summands of Omega X, with multiplicity.  When
+        dim Omega X = dim p1 the projective cover p1 ->> Omega X is an iso."""
+        if pres.syzygy.total_dim == pres.p1.rep.total_dim:
+            return [proj_index[v] for v in pres.p1.vertices]
+        out: List[int] = []
+        for part, mult in decompose(pres.syzygy).factors:
+            idx = self.index_of(part)
+            if idx is None:
+                raise ContractViolation("internal: syzygy summand outside the enumeration")
+            out.extend([idx] * mult)
+        return out
 
     def to_json(self) -> dict:
         from .rep import rep_to_json
@@ -694,6 +775,13 @@ class ARQuiverData:
             "projectives": {str(k): v for k, v in sorted(self.projective_vertex.items())},
             "injectives": {str(k): v for k, v in sorted(self.injective_vertex.items())},
         }
+
+
+def _enum_cap_exceeded(name: str, value: int, dim: int, found: int) -> CapExceededError:
+    return CapExceededError(
+        f"not representation-finite within caps: {name}={value} exceeded by a "
+        f"module of dimension {dim} after {found} indecomposables"
+    )
 
 
 def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
@@ -722,8 +810,10 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
         idx = data.index_of(m)
         if idx is not None:
             return idx
-        if m.total_dim > dim_cap or data.count + 1 > count_cap:
-            raise CapExceededError("not representation-finite within caps")
+        if m.total_dim > dim_cap:
+            raise _enum_cap_exceeded("dim_cap", dim_cap, m.total_dim, data.count)
+        if data.count + 1 > count_cap:
+            raise _enum_cap_exceeded("count_cap", count_cap, m.total_dim, data.count)
         idx = data.add(m)
         queue.append(idx)
         return idx
@@ -753,7 +843,8 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
         else:
             tm = tau(x)
             if x.total_dim + tm.total_dim > dim_cap:
-                raise CapExceededError("not representation-finite within caps")
+                # the AR middle term at x would have dimension dim x + dim tau x
+                raise _enum_cap_exceeded("dim_cap", dim_cap, x.total_dim + tm.total_dim, data.count)
             seq = ar_sequence(x)
             t_idx = find_or_add(seq.start)
             data.tau_links[idx] = t_idx

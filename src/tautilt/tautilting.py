@@ -11,6 +11,7 @@ indices, computed from the exact Hom table (`ARQuiverData.hom_masks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .algebra import Algebra, quotient_by_vertices
@@ -256,9 +257,11 @@ def ext_projectives(cls: ModuleClass) -> ModuleClass:
     """P(T) for a torsion class, by the Auslander-Smalo test
     Hom(cls, tau X) = 0; cross-checked against the Ext table."""
     ar = cls.ar
+    hom = ar.hom_table()
     out = frozenset(
         x for x in cls.members
-        if all(ar.hom_to_tau(y, x) == 0 for y in cls.members)
+        if x in ar.projective_vertex
+        or all(hom[y][ar.tau_links[x]] == 0 for y in cls.members)
     )
     direct = ext_projectives_in(cls).members
     if out != direct:
@@ -790,8 +793,19 @@ class HasseQuiver:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def in_out_degrees(self) -> Tuple[List[int], List[int]]:
+        """(in-degrees, out-degrees) of all vertices, from one pass over the edges."""
+        ins = [0] * self.vertex_count
+        outs = [0] * self.vertex_count
+        for i, j, _ in self.edges:
+            outs[i] += 1
+            ins[j] += 1
+        return ins, outs
+
     def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if e[0] == i or e[1] == i)
+        ins, outs = self.in_out_degrees
+        return ins[i] + outs[i]
 
     def source_index(self) -> int:
         return max(range(self.vertex_count), key=lambda i: len(self.classes[i]))
@@ -879,13 +893,15 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     The closure is `_mutation_closure` with the n `mutate` moves of a pair
     as its step.  Table-driven: each vertex's class Fac T is the double perp
     of its summands on the Hom table (`fac_class`), and `mutate` and
-    `check_pair` take classes and tau-rigidity from the same table.  The
-    Ext-table cross-check in `ext_projectives` still runs on every mutation.
-    The edge set is recomputed independently as maximal inclusions of the
-    classes and the two must coincide; the quiver is #A-regular with unique
-    source and sink.  Trace-based `gen_class`, D Tr = tau and the exchange-
-    sequence closure of `finiteness_probe` are cross-checked against this
-    path in the tests.
+    `check_pair` take classes and tau-rigidity from the same table.  Both
+    tables are read off the AR quiver (`ARQuiverData`): Hom from the meshes,
+    checked against every dimension vector, and Ext from one syzygy per
+    indecomposable.  The Ext-table cross-check in `ext_projectives` still runs
+    on every mutation.  The edge set is recomputed independently as maximal
+    inclusions of the classes and the two must coincide; the quiver is
+    #A-regular with unique source and sink, both read from one degree count.
+    Trace-based `gen_class`, D Tr = tau and the exchange-sequence closure of
+    `finiteness_probe` are cross-checked against this path in the tests.
     """
     if ar is None:
         ar = enumerate_indecomposables(a)
@@ -921,12 +937,10 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     classes = [_members(m) for m in masks]
     hq = HasseQuiver(a, vertices, sorted(edges), classes, ar)
     n = a.vertex_count
-    for i in range(hq.vertex_count):
-        if hq.degree(i) != n:
-            raise ContractViolation("internal: Hasse quiver is not #A-regular")
-    sources = [i for i in range(hq.vertex_count) if all(e[1] != i for e in hq.edges)]
-    sinks = [i for i in range(hq.vertex_count) if all(e[0] != i for e in hq.edges)]
-    if len(sources) != 1 or len(sinks) != 1:
+    ins, outs = hq.in_out_degrees
+    if any(d_in + d_out != n for d_in, d_out in zip(ins, outs)):
+        raise ContractViolation("internal: Hasse quiver is not #A-regular")
+    if ins.count(0) != 1 or outs.count(0) != 1:
         raise ContractViolation("internal: Hasse quiver must have unique source and sink")
     return hq
 

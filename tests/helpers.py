@@ -3,8 +3,33 @@
 import random
 from fractions import Fraction
 
+from tautilt.homology import ext1
 from tautilt.linalg import Matrix, solve_linear
 from tautilt.rep import Representation
+
+# non-monomial relation b*a - d*c
+COMMUTATIVE_SQUARE = (
+    "algebra square { vertices: 1 2 3 4; "
+    "arrows: a: 1->2, b: 2->4, c: 1->3, d: 3->4; "
+    "relations: b*a - d*c; }"
+)
+# the double quiver of A3 with radical square zero: three pairs of its
+# support tau-tilting pairs share their summands' dimension vectors
+DOUBLE_A3_RAD2 = (
+    "algebra double_a3 { vertices: 1 2 3; "
+    "arrows: a: 1->2, b: 2->1, c: 2->3, d: 3->2; "
+    "relations: b*a, d*c, c*a, b*d, a*b, c*d; }"
+)
+# self-injective Nakayama algebras on the oriented 3-cycle: their AR quivers
+# are cyclic, so no ordering of the indecomposables makes the mesh triangular
+NAKAYAMA_CYCLE_RAD2 = (
+    "algebra nakayama_rad2 { vertices: 1 2 3; arrows: a: 1->2, b: 2->3, c: 3->1; "
+    "relations: b*a, c*b, a*c; }"
+)
+NAKAYAMA_CYCLE_RAD3 = (
+    "algebra nakayama_rad3 { vertices: 1 2 3; arrows: a: 1->2, b: 2->3, c: 3->1; "
+    "relations: c*b*a, a*c*b, b*a*c; }"
+)
 
 
 def R(algebra, dims, **maps):
@@ -44,3 +69,8 @@ def skewed_121(algebra):
 
 def skewed_101(algebra):
     return R(algebra, (1, 0, 1), c=[[1]])
+
+
+def ext_dim(m, n):
+    """dim Ext^1(m, n) from the module-level computation, AR-formula check included."""
+    return ext1(m, n).dim

@@ -204,7 +204,9 @@ def test_criterion_06_kronecker(ars):
     with criterion(6, "Kronecker: cap-exceeded enumeration; tau^- chain 01->23->45->67; "
                       "preprojectives tau-rigid"):
         kron = fixtures.load("kronecker")
-        with pytest.raises(CapExceededError, match="not representation-finite within caps"):
+        with pytest.raises(CapExceededError,
+                           match="not representation-finite within caps: dim_cap=16 exceeded "
+                                 r"by a module of dimension \d+ after \d+ indecomposables"):
             enumerate_indecomposables(kron, dim_cap=16)
         m = projective(kron, 2)
         expected = [(2, 3), (4, 5), (6, 7)]

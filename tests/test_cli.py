@@ -95,7 +95,7 @@ def test_indecs_kronecker_exit_code(tmp_path, capsys):
     code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), "--dim-cap", "12",
                             "indecs", alg("kronecker"))
     assert code == 1
-    assert "not representation-finite within caps" in err
+    assert "not representation-finite within caps: dim_cap=12 exceeded" in err
     assert "homology" in err
 
 
@@ -175,6 +175,54 @@ def test_corrupt_cache_recovers(tmp_path, capsys):
     assert code == 0
     assert "corrupt cache entry" in err
     assert json.loads(out)["indecomposables"]
+
+
+def _tamper_and_rerun(tmp_path, capsys, args, tamper):
+    code, fresh, _ = invoke(capsys, *args)
+    assert code == 0
+    entry = next(Path(tmp_path).glob("*.json"))
+    payload = json.loads(entry.read_text())
+    tamper(payload)
+    entry.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, *args)
+    assert code == 0
+    assert "corrupt cache entry" in err and "recomputing" in err
+    code, uncached, _ = invoke(capsys, "--no-cache", *args)
+    assert out == uncached == fresh
+    return err
+
+
+def test_cache_entry_with_wrong_arrow_multiplicity_recomputes(tmp_path, capsys):
+    # derived Hom tables trust the cached arrows, so a miscount must be caught
+    def bump_first_arrow(payload):
+        payload["arrows"][0][2] += 1
+
+    args = ["--cache-dir", str(tmp_path), "--format", "json", "hasse", alg("a3rel")]
+    err = _tamper_and_rerun(tmp_path, capsys, args, bump_first_arrow)
+    assert "arrows into" in err or "AR sequence at" in err
+
+
+def test_cache_entry_for_another_algebra_recomputes(tmp_path, capsys):
+    def rehash(payload):
+        payload["algebra"] = "0" * 64
+
+    args = ["--cache-dir", str(tmp_path), "--format", "json", "hasse", alg("a3rel")]
+    err = _tamper_and_rerun(tmp_path, capsys, args, rehash)
+    assert "different algebra" in err
+
+
+def test_cache_entry_breaking_a_relation_recomputes(tmp_path, capsys):
+    # a3rel has the relation b*a = 0, which 111 would violate
+    def add_path(payload):
+        for item in payload["indecomposables"]:
+            if item["label"] == "110":
+                item["rep"]["dims"] = [1, 1, 1]
+                item["rep"]["arrows"] = {"a": [["1"]], "b": [["1"]]}
+                item["dims"] = [1, 1, 1]
+
+    args = ["--cache-dir", str(tmp_path), "--format", "json", "hasse", alg("a3rel")]
+    err = _tamper_and_rerun(tmp_path, capsys, args, add_path)
+    assert "violated" in err
 
 
 def test_mutate_verb(tmp_path, capsys):

@@ -1,7 +1,18 @@
+import copy
+from pathlib import Path
+
 import pytest
-from helpers import skewed_121
+from helpers import (
+    COMMUTATIVE_SQUARE,
+    DOUBLE_A3_RAD2,
+    NAKAYAMA_CYCLE_RAD2,
+    NAKAYAMA_CYCLE_RAD3,
+    ext_dim,
+    skewed_121,
+)
 
 from tautilt import fixtures
+from tautilt.algebra import algebra_from_source
 from tautilt.errors import CapExceededError, ContractViolation
 from tautilt.homology import (
     ar_sequence,
@@ -26,6 +37,8 @@ from tautilt.rep import (
     hom_dim,
     is_isomorphic,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -304,11 +317,43 @@ def test_tau_bijection_on_enumeration(a3rel):
 
 
 def test_ar_formula_over_fixture_pairs(a3rel):
-    # dim Ext^1(X, Y) = dim stable Hom(Y, tau X) is asserted inside ext1;
-    # touching the full ext table exercises every pair
+    # dim Ext^1(X, Y) = dim stable Hom(Y, tau X) is asserted inside ext1, so
+    # calling it on every pair exercises the stable-Hom count on each
     ar = enumerate_indecomposables(a3rel)
-    table = ar.ext_table()
+    table = [[ext1(x, y).dim for y in ar.indecomposables] for x in ar.indecomposables]
+    assert table == ar.ext_table()
     assert table[ar.labels.index("100")][ar.labels.index("010")] == 1
+
+
+TABLE_ALGEBRAS = {name: (FIXTURES / f"{name}.alg").read_text()
+                  for name in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4", "wild5")}
+TABLE_ALGEBRAS.update(square=COMMUTATIVE_SQUARE, double_a3=DOUBLE_A3_RAD2,
+                      nakayama_rad2=NAKAYAMA_CYCLE_RAD2, nakayama_rad3=NAKAYAMA_CYCLE_RAD3)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_tables_from_ar_quiver_equal_module_level_tables(name):
+    # the Hom table solved from the meshes and the Ext table from syzygies
+    # agree entry for entry with hom_dim and ext1 on the modules themselves
+    ar = enumerate_indecomposables(algebra_from_source(TABLE_ALGEBRAS[name]))
+    xs = ar.indecomposables
+    assert ar.hom_table() == [[hom_dim(x, y) for y in xs] for x in xs]
+    assert ar.ext_table() == [[ext_dim(x, y) for y in xs] for x in xs]
+
+
+@pytest.mark.parametrize("name", ["a3rel", "wild4", "nakayama_rad2"])
+def test_wrong_arrow_multiplicity_is_refused(name):
+    # a miscounted irreducible map changes the mesh matrix; the Hom table it
+    # would give misses some dimension vector, so it must raise, not answer
+    ar = enumerate_indecomposables(algebra_from_source(TABLE_ALGEBRAS[name]))
+    for arrow in sorted(ar.arrows):
+        for delta in (1, -1):
+            bad = copy.copy(ar)
+            bad.arrows = dict(ar.arrows)
+            bad.arrows[arrow] += delta
+            bad._hom_table = bad._hom_masks = bad._ext_table = None
+            with pytest.raises(ContractViolation, match="Hom table|singular"):
+                bad.ext_table()
 
 
 def test_nakayama_sends_projective_to_injective(a3rel, skewed):

@@ -1,4 +1,5 @@
 import pytest
+from helpers import COMMUTATIVE_SQUARE, DOUBLE_A3_RAD2
 
 import tautilt.tautilting as tt
 from tautilt import fixtures
@@ -66,19 +67,6 @@ def ar3rel(a3rel):
 
 HEREDITARY_A4 = "algebra a4 { vertices: 1 2 3 4; arrows: a: 1->2, b: 2->3, c: 3->4; }"
 HEREDITARY_D4 = "algebra d4 { vertices: 1 2 3 4; arrows: a: 1->4, b: 2->4, c: 3->4; }"
-# non-monomial relation b*a - d*c
-COMMUTATIVE_SQUARE = (
-    "algebra square { vertices: 1 2 3 4; "
-    "arrows: a: 1->2, b: 2->4, c: 1->3, d: 3->4; "
-    "relations: b*a - d*c; }"
-)
-# the double quiver of A3 with radical square zero: three pairs of its
-# support tau-tilting pairs share their summands' dimension vectors
-DOUBLE_A3_RAD2 = (
-    "algebra double_a3 { vertices: 1 2 3; "
-    "arrows: a: 1->2, b: 2->1, c: 2->3, d: 3->2; "
-    "relations: b*a, d*c, c*a, b*d, a*b, c*d; }"
-)
 
 
 def by_label(ar, *labels):
