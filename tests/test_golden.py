@@ -15,12 +15,12 @@ FIXTURES = HERE.parent / "fixtures"
 GOLDEN = HERE / "golden"
 
 CASES = [("hasse", fix, fmt)
-         for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4", "wild5")
+         for fix in ("a2", "a3lin", "a3rel", "d4", "k1", "skewed", "wild4", "wild5")
          for fmt in ("json", "dot")]
 CASES += [("probe", fix, "json") for fix in ("a3rel", "wild4")]
 # the indecomposables' matrices depend on the idempotents `decompose` splits by
 CASES += [("indecs", fix, "json")
-          for fix in ("a2", "a3lin", "a3rel", "k1", "skewed", "wild4", "wild5")]
+          for fix in ("a2", "a3lin", "a3rel", "d4", "k1", "skewed", "wild4", "wild5")]
 
 
 @pytest.mark.parametrize("verb,fixture,fmt", CASES)
