@@ -619,6 +619,8 @@ class ARQuiverData:
         self._hom_table: Optional[List[List[int]]] = None
         self._hom_masks: Optional[Tuple[List[int], List[int]]] = None
         self._ext_table: Optional[List[List[int]]] = None
+        self._ext_masks: Optional[Tuple[List[int], List[int]]] = None
+        self._support_masks: Optional[Dict[int, int]] = None
 
     @property
     def count(self) -> int:
@@ -696,18 +698,25 @@ class ARQuiverData:
         """The Hom table as bitmasks over AR indices: (out, into), where bit y
         of out[x] and bit x of into[y] are set iff Hom(X_x, X_y) != 0."""
         if self._hom_masks is None:
-            hom = self.hom_table()
-            n = self.count
-            out = [0] * n
-            into = [0] * n
-            for x in range(n):
-                row = hom[x]
-                for y in range(n):
-                    if row[y]:
-                        out[x] |= 1 << y
-                        into[y] |= 1 << x
-            self._hom_masks = (out, into)
+            self._hom_masks = _table_masks(self.hom_table())
         return self._hom_masks
+
+    def ext_masks(self) -> Tuple[List[int], List[int]]:
+        """The Ext table as bitmasks, like `hom_masks`: bit y of out[x] and
+        bit x of into[y] are set iff Ext^1(X_x, X_y) != 0."""
+        if self._ext_masks is None:
+            self._ext_masks = _table_masks(self.ext_table())
+        return self._ext_masks
+
+    def support_masks(self) -> Dict[int, int]:
+        """For each quiver vertex v, the mask of the AR indices x with
+        (X_x)_v != 0."""
+        if self._support_masks is None:
+            self._support_masks = {
+                v: sum(1 << x for x, m in enumerate(self.indecomposables) if m.dims[v - 1])
+                for v in self.algebra.quiver.vertices
+            }
+        return self._support_masks
 
     def hom_to_tau(self, i: int, j: int) -> int:
         """dim Hom(X_i, tau X_j); zero when X_j is projective."""
@@ -775,6 +784,20 @@ class ARQuiverData:
             "projectives": {str(k): v for k, v in sorted(self.projective_vertex.items())},
             "injectives": {str(k): v for k, v in sorted(self.injective_vertex.items())},
         }
+
+
+def _table_masks(table: List[List[int]]) -> Tuple[List[int], List[int]]:
+    """Row and column bitmasks of the nonzero entries of a square table."""
+    n = len(table)
+    out = [0] * n
+    into = [0] * n
+    for x in range(n):
+        row = table[x]
+        for y in range(n):
+            if row[y]:
+                out[x] |= 1 << y
+                into[y] |= 1 << x
+    return out, into
 
 
 def _enum_cap_exceeded(name: str, value: int, dim: int, found: int) -> CapExceededError:

@@ -1,22 +1,29 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), so every rank, kernel and solve below is exact; no epsilon
-appears anywhere in this module.  Row reduction works fraction-free: rows are
-cleared to primitive integer vectors and updated by cross-multiplication, so
-coefficient growth stays controlled even when path-algebra structure
-constants compound.
+denominator) at the boundary, so every rank, kernel and solve below is exact;
+no epsilon appears anywhere in this module.  The public ``Matrix(...)`` and
+``Matrix.from_rows`` coerce their entries and check the shape; results built
+inside this module (and the 0/1 matrices of ``rep.direct_sum``) go through the
+trusted ``Matrix._of``, which does neither.
+
+Row reduction runs on an integer-row core: each row is cleared to a primitive
+integer vector with integer operations only, and updated by
+cross-multiplication (in the spirit of Bareiss's integer-preserving
+elimination), so coefficient growth stays controlled even when path-algebra
+structure constants compound.  ``rref_rank`` clears above and below every
+pivot and turns the pivot rows into Fractions once, at the end.  Rank,
+containment and complement queries only need a forward pass (``_insert``):
+no back substitution, and no Fraction is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
-
-Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,6 +57,17 @@ class Matrix:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """Trusted constructor: ``entries`` must already be a tuple of
+        rows * cols Fractions.  Nothing is coerced or checked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = None
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
         rows = [list(r) for r in rows]
@@ -64,11 +82,11 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return Matrix._of(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return Matrix._of(rows, cols, (ZERO,) * (rows * cols))
 
     # -- access ------------------------------------------------------------
 
@@ -79,9 +97,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -91,11 +106,8 @@ class Matrix:
     # -- structure ---------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        ent, cols = self.entries, self.cols
+        return Matrix._of(self.cols, self.rows, tuple(x for j in range(cols) for x in ent[j::cols]))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -104,12 +116,12 @@ class Matrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, out)
+        return Matrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ContractViolation("vstack: col mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -123,7 +135,7 @@ class Matrix:
                 out[base : base + b.cols] = b.row(i)
             r0 += b.rows
             c0 += b.cols
-        return Matrix(rows, cols, out)
+        return Matrix._of(rows, cols, tuple(out))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -132,36 +144,35 @@ class Matrix:
             raise ContractViolation(
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * m)
-        orows = [other.row(i) for i in range(k)]
+        n, m = self.rows, other.cols
+        # the nonzero entries of each row of the right factor, with their columns
+        orows = [[(j, y) for j, y in enumerate(other.row(t)) if y] for t in range(other.rows)]
+        out = []
         for i in range(n):
-            srow = self.row(i)
             acc = [ZERO] * m
-            for t in range(k):
-                a = srow[t]
+            for a, orow in zip(self.row(i), orows):
                 if a:
-                    orow = orows[t]
-                    acc = [x + a * y for x, y in zip(acc, orow)]
-            out[i * m : (i + 1) * m] = acc
-        return Matrix(n, m, out)
+                    for j, y in orow:
+                        acc[j] += a * y
+            out.extend(acc)
+        return Matrix._of(n, m, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ContractViolation("add: shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ContractViolation("sub: shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         """Matrix times column vector, returned as a tuple."""
@@ -190,7 +201,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.to_lists()})"
 
     def rank(self) -> int:
-        return rref_rank(self)[2]
+        return len(_echelon(self))
 
 
 # -- fraction-free row reduction --------------------------------------------
@@ -214,17 +225,21 @@ def _primitive(row: list) -> list:
     return row
 
 
+def _int_row(row: Sequence[Fraction]) -> list:
+    """Clear the denominators of one row of Fractions with integer operations,
+    returning a primitive integer row."""
+    den = lcm(*(x.denominator for x in row if x.denominator != 1))
+    if den == 1:
+        return _primitive([x.numerator for x in row])
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
 def _int_rows(m: Matrix) -> list:
-    """Clear denominators per row, returning primitive integer rows."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append(_primitive([int(x * lcm) for x in row]))
-    return out
+    """Primitive integer rows of m, one per row of m."""
+    if m.cols == 0:
+        return [[] for _ in range(m.rows)]
+    ent, cols = m.entries, m.cols
+    return [_int_row(ent[i : i + cols]) for i in range(0, len(ent), cols)]
 
 
 def _rref_int(rows: list, cols: int) -> tuple:
@@ -255,7 +270,7 @@ def _rref_int(rows: list, cols: int) -> tuple:
                 rows[i] = _primitive([p * x - a * y for x, y in zip(rows[i], piv)])
         pivots.append(c)
         r += 1
-    return rows[:r] + [row for row in rows[r:]], pivots
+    return rows, pivots
 
 
 def rref_rank(m: Matrix) -> tuple:
@@ -265,15 +280,42 @@ def rref_rank(m: Matrix) -> tuple:
     to one, and is the canonical representative of the row-equivalence class
     (rref of rref = rref).
     """
-    rows = _int_rows(m)
-    rows, pivots = _rref_int(rows, m.cols)
+    rows, pivots = _rref_int(_int_rows(m), m.cols)
     out = []
     for r, c in enumerate(pivots):
         p = rows[r][c]
-        out.append([Fraction(x, p) for x in rows[r]])
-    while len(out) < m.rows:
-        out.append([ZERO] * m.cols)
-    return Matrix.from_rows(out, cols=m.cols), list(pivots), len(pivots)
+        out.extend(Fraction(x, p) if x else ZERO for x in rows[r])
+    out.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix._of(m.rows, m.cols, tuple(out)), pivots, len(pivots)
+
+
+def _insert(echelon: list, row: list) -> bool:
+    """Forward-only elimination step for rank queries: reduce the integer
+    ``row`` against the (pivot column, row) pairs of ``echelon`` and keep it
+    when something is left, i.e. when it is independent of them.
+
+    A kept row vanishes at the pivot columns kept before it, so its first
+    nonzero entry is a new pivot column.  There is no back substitution and
+    no Fraction.
+    """
+    for c, piv in echelon:
+        a = row[c]
+        if a:
+            p = piv[c]
+            row = _primitive([p * x - a * y for x, y in zip(row, piv)])
+    for c, x in enumerate(row):
+        if x:
+            echelon.append((c, row))
+            return True
+    return False
+
+
+def _echelon(m: Matrix) -> list:
+    """The forward-reduced (pivot column, integer row) pairs of m's rows."""
+    echelon = []
+    for row in _int_rows(m):
+        _insert(echelon, row)
+    return echelon
 
 
 def kernel_basis(a: Matrix) -> "Subspace":
@@ -281,16 +323,28 @@ def kernel_basis(a: Matrix) -> "Subspace":
 
     dim kernel = cols - rank(a).
     """
-    red, pivots, rank = rref_rank(a)
-    free = [c for c in range(a.cols) if c not in pivots]
-    rows = []
-    for f in free:
-        vec = [ZERO] * a.cols
+    red, pivots, _ = rref_rank(a)
+    return _kernel_of_rref(red, pivots, a.cols)
+
+
+def _kernel_of_rref(red: Matrix, pivots: list, cols: int) -> "Subspace":
+    """The kernel of the first ``cols`` columns of a matrix in rref.
+
+    Those columns are the rref of the left block on their own: a pivot in a
+    later column has a zero row there.
+    """
+    left = [p for p in pivots if p < cols]
+    pivot_set = set(left)
+    out = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * cols
         vec[f] = ONE
-        for r, p in enumerate(pivots):
+        for r, p in enumerate(left):
             vec[p] = -red[r, f]
-        rows.append(vec)
-    return Subspace.from_rows(a.cols, rows)
+        out.extend(vec)
+    return Subspace.from_matrix(Matrix._of(cols - len(left), cols, tuple(out)))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> tuple:
@@ -301,15 +355,14 @@ def solve_linear(a: Matrix, b: Matrix) -> tuple:
     """
     if a.rows != b.rows:
         raise ContractViolation("solve_linear: a.rows must equal b.rows")
-    aug = a.hstack(b)
-    red, pivots, _ = rref_rank(aug)
+    red, pivots, _ = rref_rank(a.hstack(b))
+    kernel = _kernel_of_rref(red, pivots, a.cols)
     if any(p >= a.cols for p in pivots):
-        return None, kernel_basis(a)
-    x = [[ZERO] * b.cols for _ in range(a.cols)]
+        return None, kernel
+    x = [ZERO] * (a.cols * b.cols)
     for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = red[r, a.cols + j]
-    return Matrix.from_rows(x, cols=b.cols), kernel_basis(a)
+        x[p * b.cols : (p + 1) * b.cols] = red.row(r)[a.cols :]
+    return Matrix._of(a.cols, b.cols, tuple(x)), kernel
 
 
 class Subspace:
@@ -327,17 +380,16 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        m = Matrix.from_rows(rows, cols=ambient_dim)
-        red, pivots, rank = rref_rank(m)
-        return Subspace(ambient_dim, Matrix.from_rows([red.row(i) for i in range(rank)], cols=ambient_dim))
+        return Subspace.from_matrix(Matrix.from_rows(rows, cols=ambient_dim))
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
-        return Subspace.from_rows(m.cols, m.to_lists())
+        red, _, rank = rref_rank(m)
+        return Subspace(m.cols, Matrix._of(rank, m.cols, red.entries[: rank * m.cols]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(0, ambient_dim, []))
+        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -357,14 +409,13 @@ class Subspace:
         vec = [frac(x) for x in vec]
         if len(vec) != self.ambient_dim:
             raise ContractViolation("ambient mismatch")
-        stacked = self.basis.vstack(Matrix.from_rows([vec], cols=self.ambient_dim))
-        return rref_rank(stacked)[2] == self.dim
+        return not _insert(_echelon(self.basis), _int_row(vec))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ContractViolation("ambient mismatch")
-        stacked = self.basis.vstack(other.basis)
-        return rref_rank(stacked)[2] == self.dim
+        echelon = _echelon(self.basis)
+        return not any(_insert(echelon, row) for row in _int_rows(other.basis))
 
     def __eq__(self, other) -> bool:
         return (
@@ -413,16 +464,8 @@ def subspace_complement(u: Subspace, v: Optional[Subspace] = None) -> Subspace:
         raise ContractViolation("ambient mismatch")
     if not v.contains(u):
         raise ContractViolation("complement requires u <= v")
-    current = [list(u.basis.row(i)) for i in range(u.dim)]
-    rank = u.dim
-    picked = []
-    for i in range(v.dim):
-        cand = list(v.basis.row(i))
-        trial = Matrix.from_rows(current + [cand], cols=u.ambient_dim)
-        if rref_rank(trial)[2] > rank:
-            current.append(cand)
-            picked.append(cand)
-            rank += 1
+    echelon = _echelon(u.basis)
+    picked = [v.basis.row(i) for i, row in enumerate(_int_rows(v.basis)) if _insert(echelon, row)]
     return Subspace.from_rows(u.ambient_dim, picked)
 
 

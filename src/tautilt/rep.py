@@ -17,6 +17,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .algebra import Algebra, Path, VertexQuotient
 from .errors import ContractViolation, NotCertifiableError
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     kernel_basis,
@@ -298,19 +300,16 @@ def direct_sum(algebra: Algebra, parts: Sequence[Representation]) -> DirectSum:
     for k, p in enumerate(parts):
         inc, proj = [], []
         for v in range(nverts):
-            rows_inc = []
-            for r in range(dims[v]):
-                row = [Fraction(0)] * p.dims[v]
-                if offsets[k][v] <= r < offsets[k + 1][v]:
-                    row[r - offsets[k][v]] = Fraction(1)
-                rows_inc.append(row)
-            inc.append(Matrix.from_rows(rows_inc, cols=p.dims[v]))
-            rows_proj = []
-            for r in range(p.dims[v]):
-                row = [Fraction(0)] * dims[v]
-                row[offsets[k][v] + r] = Fraction(1)
-                rows_proj.append(row)
-            proj.append(Matrix.from_rows(rows_proj, cols=dims[v]))
+            # entry (offset + r, r) of the inclusion and (r, offset + r) of the
+            # projection are 1, all others 0
+            d, total_d, off = p.dims[v], dims[v], offsets[k][v]
+            inc_entries = [ZERO] * (total_d * d)
+            proj_entries = [ZERO] * (d * total_d)
+            for r in range(d):
+                inc_entries[(off + r) * d + r] = ONE
+                proj_entries[r * total_d + off + r] = ONE
+            inc.append(Matrix._of(total_d, d, tuple(inc_entries)))
+            proj.append(Matrix._of(d, total_d, tuple(proj_entries)))
         inclusions.append(Morphism(p, total, inc, verify=False))
         projections.append(Morphism(total, p, proj, verify=False))
     return DirectSum(total, inclusions, projections)

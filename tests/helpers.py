@@ -74,3 +74,46 @@ def skewed_101(algebra):
 def ext_dim(m, n):
     """dim Ext^1(m, n) from the module-level computation, AR-formula check included."""
     return ext1(m, n).dim
+
+
+def naive_rref(rows, cols):
+    """Textbook Gauss-Jordan over Fractions, as an oracle for `linalg`:
+    (reduced rows, pivot columns), pivots scaled to one, zero rows last."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        sel = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def naive_span(rows, cols):
+    """The canonical basis of the span of rows: the nonzero rows of their rref."""
+    red, pivots = naive_rref(rows, cols)
+    return red[:len(pivots)]
+
+
+def naive_kernel(rows, cols):
+    """The canonical basis of {v : rows v = 0}."""
+    red, pivots = naive_rref(rows, cols)
+    vecs = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+        vecs.append(vec)
+    return naive_span(vecs, cols)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import naive_kernel, naive_rref, naive_span
 from tautilt.errors import ContractViolation
 from tautilt.linalg import (
     Matrix,
@@ -189,3 +192,113 @@ def test_exactness_no_epsilon():
     assert a * (1 / a) == 1
     m = M([[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 12)]])
     assert rref_rank(m)[2] == 1
+
+
+def test_public_constructors_coerce_and_check():
+    m = Matrix(2, 2, [1, "2/3", Fraction(-1, 2), 0])
+    assert m.entries == (Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0))
+    assert all(type(x) is Fraction for x in m.entries)
+    assert Matrix.from_rows([[3, "1/4"]]).entries == (Fraction(3), Fraction(1, 4))
+    with pytest.raises(ContractViolation, match="needs 4 entries, got 3"):
+        Matrix(2, 2, [1, 2, 3])
+    with pytest.raises(ContractViolation, match="needs 0 entries"):
+        Matrix(0, 3, [1])
+    with pytest.raises(ContractViolation, match="ragged"):
+        Matrix.from_rows([[1, 2], [3]])
+
+
+# -- the integer-row core against a textbook Fraction Gauss-Jordan ------------
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def row_lists(draw, cols, max_rows=5):
+    """Rows of width cols; some are combinations of the earlier ones, so that
+    ranks drop below the row count."""
+    out = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if out and draw(st.booleans()):
+            coeffs = draw(st.lists(ENTRIES, min_size=len(out), max_size=len(out)))
+            out.append([sum((c * row[j] for c, row in zip(coeffs, out)), Fraction(0))
+                        for j in range(cols)])
+        else:
+            out.append(draw(st.lists(ENTRIES, min_size=cols, max_size=cols)))
+    return out
+
+
+@st.composite
+def linalg_cases(draw):
+    """(cols, rows of a, rows of b, rows of a second space over the same columns)."""
+    cols = draw(st.integers(0, 5))
+    a = draw(row_lists(cols))
+    width = draw(st.integers(0, 2))
+    if a and draw(st.booleans()):  # a consistent right-hand side a @ x
+        x = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width),
+                          min_size=cols, max_size=cols))
+        b = [[sum((r[t] * x[t][j] for t in range(cols)), Fraction(0)) for j in range(width)]
+             for r in a]
+    else:
+        b = [draw(st.lists(ENTRIES, min_size=width, max_size=width)) for _ in a]
+    return cols, a, b, draw(row_lists(cols))
+
+
+def _greedy_complement(u_rows, v_rows, cols):
+    picked, rank = [], len(naive_span(u_rows, cols))
+    for cand in v_rows:
+        if len(naive_span(u_rows + picked + [cand], cols)) > rank:
+            picked.append(cand)
+            rank += 1
+    return naive_span(picked, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linalg_cases())
+@example((0, [], [], []))
+@example((3, [], [], []))
+@example((0, [[], []], [[Fraction(1)], [Fraction(0)]], [[]]))
+@example((2, [[Fraction(10**30, 7), Fraction(-1, 10**20)], [Fraction(2), Fraction(3, 5)]],
+          [[Fraction(1)], [Fraction(2)]], [[Fraction(1, 3), Fraction(0)]]))
+def test_linalg_matches_naive_gauss_jordan(case):
+    cols, a_rows, b_rows, w_rows = case
+    a = Matrix.from_rows(a_rows, cols=cols)
+    ref, ref_pivots = naive_rref(a_rows, cols)
+
+    red, pivots, rank = rref_rank(a)
+    assert (red.rows, red.cols) == (a.rows, cols)
+    assert red.to_lists() == ref
+    assert pivots == ref_pivots and rank == len(ref_pivots)
+    assert a.rank() == len(ref_pivots)
+    assert kernel_basis(a).basis.to_lists() == naive_kernel(a_rows, cols)
+
+    width = len(b_rows[0]) if b_rows else 0
+    x, ker = solve_linear(a, Matrix.from_rows(b_rows, cols=width))
+    aug_ref, aug_pivots = naive_rref([r + s for r, s in zip(a_rows, b_rows)], cols + width)
+    if any(p >= cols for p in aug_pivots):
+        assert x is None
+    else:
+        want = [[Fraction(0)] * width for _ in range(cols)]
+        for r, p in enumerate(aug_pivots):
+            want[p] = aug_ref[r][cols:]
+        assert x is not None and x.to_lists() == want
+    assert ker.basis.to_lists() == naive_kernel(a_rows, cols)
+
+    u = Subspace.from_rows(cols, a_rows)
+    w = Subspace.from_rows(cols, w_rows)
+    u_basis, w_basis = naive_span(a_rows, cols), naive_span(w_rows, cols)
+    assert u.basis.to_lists() == u_basis and w.basis.to_lists() == w_basis
+    assert u.contains(w) == (len(naive_span(u_basis + w_basis, cols)) == len(u_basis))
+    assert w.contains(u) == (len(naive_span(u_basis + w_basis, cols)) == len(w_basis))
+    for vec in w_rows + a_rows:
+        assert u.contains_vector(vec) == (len(naive_span(u_basis + [vec], cols)) == len(u_basis))
+
+    both = naive_span(u_basis + w_basis, cols)
+    assert subspace_complement(u, Subspace.from_rows(cols, both)).basis.to_lists() == \
+        _greedy_complement(u_basis, both, cols)
+    identity = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+    assert subspace_complement(u).basis.to_lists() == _greedy_complement(u_basis, identity, cols)
