@@ -598,7 +598,8 @@ def compute_basis(quiver: Quiver, relations: RelationSet, cap: int = DEFAULT_LEN
         l += 1
         if l > cap:
             raise CapExceededError(
-                "not finite-dimensional within cap (non-admissible ideal or cap too low)"
+                "not finite-dimensional within cap (non-admissible ideal or cap too low)",
+                cap="length_cap", value=cap, progress=l - 1,
             )
         paths_by_len.append(extend(paths_by_len[l - 1]))
         new_paths = paths_by_len[l]

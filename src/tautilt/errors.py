@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all engine modules."""
 
+from typing import Optional
+
 
 class TautiltError(Exception):
     """Base class for all engine errors."""
@@ -23,7 +25,22 @@ class NotAdmissibleError(TautiltError):
 
 
 class CapExceededError(TautiltError):
-    """A configured cap was hit before the computation could finish."""
+    """A configured cap was hit before the computation could finish.
+
+    ``cap`` names the cap and ``value`` is its setting.  ``progress`` says how
+    far the run got: indecomposables found by the AR enumeration, pairs
+    interned by a mutation closure, or path lengths completed by the basis
+    computation.  ``dim`` is the module dimension that broke an enumeration
+    cap, and None for the other caps.
+    """
+
+    def __init__(self, message: str, cap: str, value: int, progress: int,
+                 dim: Optional[int] = None):
+        super().__init__(message)
+        self.cap = cap
+        self.value = value
+        self.progress = progress
+        self.dim = dim
 
 
 class NotCertifiableError(TautiltError):

@@ -56,15 +56,18 @@ def injective(a: Algebra, i: int) -> Representation:
 # -- sums of structural projectives with a summand registry -----------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjSum:
-    """A direct sum of P(i)'s remembering which vertex each copy came from."""
+    """A direct sum of P(i)'s remembering which vertex each copy came from.
+
+    `projective_sum` shares one instance per (algebra, vertices), so it is
+    frozen and its morphism lists are tuples."""
 
     algebra: Algebra
     vertices: Tuple[int, ...]
     rep: Representation
-    inclusions: List[Morphism]
-    projections: List[Morphism]
+    inclusions: Tuple[Morphism, ...]
+    projections: Tuple[Morphism, ...]
 
     @property
     def copies(self) -> int:
@@ -73,11 +76,27 @@ class ProjSum:
     def is_zero(self) -> bool:
         return not self.vertices
 
+    def widths(self, v: int) -> List[int]:
+        """The dimension of each copy at vertex v (0-based)."""
+        return [inc.source.dims[v] for inc in self.inclusions]
+
 
 def projective_sum(a: Algebra, vertices: Sequence[int]) -> ProjSum:
-    parts = [projective(a, i) for i in vertices]
-    ds = direct_sum(a, parts)
-    return ProjSum(a, tuple(vertices), ds.total, ds.inclusions, ds.projections)
+    """The direct sum of the P(i), i in vertices, memoized per algebra."""
+    memo = a.memo("projective_sum")
+    key = tuple(vertices)
+    if key not in memo:
+        ds = direct_sum(a, [projective(a, i) for i in key])
+        memo[key] = ProjSum(a, key, ds.total, tuple(ds.inclusions), tuple(ds.projections))
+    return memo[key]
+
+
+def _on_copies(ps: ProjSum, x: Representation, copy_maps: Dict[int, Morphism]) -> Morphism:
+    """The map ps.rep -> x that is copy_maps[k] on copy k, zero on the others."""
+    maps = [Matrix.from_blocks([x.dims[v]], ps.widths(v),
+                               {(0, k): f.maps[v] for k, f in copy_maps.items()})
+            for v in range(ps.algebra.vertex_count)]
+    return Morphism(ps.rep, x, maps, verify=False)
 
 
 def _proj_copy_morphism(a: Algebra, i: int, x: Representation, vector: Sequence[Fraction]) -> Morphism:
@@ -95,10 +114,8 @@ def proj_sum_morphism(ps: ProjSum, x: Representation, vectors: Sequence[Sequence
     """The map ps.rep -> x determined by one vector of x per projective copy."""
     if len(vectors) != ps.copies:
         raise ContractViolation("one vector per projective copy required")
-    total = zero_morphism(ps.rep, x)
-    for k, (i, vec) in enumerate(zip(ps.vertices, vectors)):
-        total = total + (_proj_copy_morphism(ps.algebra, i, x, vec) @ ps.projections[k])
-    return total
+    return _on_copies(ps, x, {k: _proj_copy_morphism(ps.algebra, i, x, vec)
+                              for k, (i, vec) in enumerate(zip(ps.vertices, vectors))})
 
 
 def hom_basis_from_projsum(ps: ProjSum, x: Representation) -> List[Morphism]:
@@ -107,9 +124,9 @@ def hom_basis_from_projsum(ps: ProjSum, x: Representation) -> List[Morphism]:
     for k, i in enumerate(ps.vertices):
         d = x.dims[i - 1]
         for r in range(d):
-            vec = [Fraction(0)] * d
-            vec[r] = Fraction(1)
-            out.append(_proj_copy_morphism(ps.algebra, i, x, vec) @ ps.projections[k])
+            vec = [ZERO] * d
+            vec[r] = ONE
+            out.append(_on_copies(ps, x, {k: _proj_copy_morphism(ps.algebra, i, x, vec)}))
     return out
 
 
@@ -130,8 +147,17 @@ class Presentation:
 
 
 def projective_cover_map(m: Representation) -> Tuple[ProjSum, Morphism]:
-    """p0 ->> m lifting a basis of top(m); eps induces an iso on tops."""
+    """p0 ->> m lifting a basis of top(m); eps induces an iso on tops.
+
+    Memoized per algebra by m.key(), so the cover of D(X) is built once for
+    both `injective_envelope_map` and tau-.  Surjectivity is certified when
+    the cover is built; a memo hit returns that certified map, whose target
+    is data-equal to m."""
     a = m.algebra
+    memo = a.memo("projective_cover")
+    key = m.key()
+    if key in memo:
+        return memo[key]
     rad = radical_subrep(m)
     vertices: List[int] = []
     vectors: List[List[Fraction]] = []
@@ -144,6 +170,7 @@ def projective_cover_map(m: Representation) -> Tuple[ProjSum, Morphism]:
     eps = proj_sum_morphism(ps, m, vectors)
     if not eps.is_surjective():
         raise ContractViolation("internal: projective cover map is not surjective")
+    memo[key] = (ps, eps)
     return ps, eps
 
 
@@ -235,17 +262,13 @@ def star_of_presentation_map(pres: Presentation) -> Tuple[ProjSum, ProjSum, Morp
     op = a.opposite()
     op_p0 = projective_sum(op, pres.p0.vertices)
     op_p1 = projective_sum(op, pres.p1.vertices)
-    dstar = zero_morphism(op_p0.rep, op_p1.rep)
+    blocks: Dict[Tuple[int, int], Morphism] = {}
     for b, i_b in enumerate(pres.p1.vertices):
         # d restricted to copy b, evaluated on its trivial path (vertex i_b):
         # locate that column inside p1's block at vertex i_b
-        triv_paths = a.block_paths(i_b, i_b)
-        triv_col = triv_paths.index(Path(i_b, ()))
+        triv_col = a.block_paths(i_b, i_b).index(Path(i_b, ()))
         dmat_at_ib = pres.d.maps[i_b - 1]
-        offset = 0
-        for x in range(b):
-            offset += projective(a, pres.p1.vertices[x]).dims[i_b - 1]
-        copy_col = offset + triv_col
+        copy_col = sum(pres.p1.widths(i_b - 1)[:b]) + triv_col
         row_offset = 0
         for aa, j_a in enumerate(pres.p0.vertices):
             block = a.block_paths(j_a, i_b)
@@ -256,9 +279,11 @@ def star_of_presentation_map(pres: Presentation) -> Tuple[ProjSum, ProjSum, Morp
                     element[Path(i_b, tuple(reversed(p.arrows)))] = coeff
             row_offset += len(block)
             if element:
-                comp = right_multiplication(op, j_a, i_b, element)
-                dstar = dstar + (op_p1.inclusions[b] @ comp @ op_p0.projections[aa])
-    return op_p0, op_p1, dstar
+                blocks[(b, aa)] = right_multiplication(op, j_a, i_b, element)
+    maps = [Matrix.from_blocks(op_p1.widths(v), op_p0.widths(v),
+                               {bk: comp.maps[v] for bk, comp in blocks.items()})
+            for v in range(op.vertex_count)]
+    return op_p0, op_p1, Morphism(op_p0.rep, op_p1.rep, maps, verify=False)
 
 
 def transpose(m: Representation) -> Representation:
@@ -803,7 +828,8 @@ def _table_masks(table: List[List[int]]) -> Tuple[List[int], List[int]]:
 def _enum_cap_exceeded(name: str, value: int, dim: int, found: int) -> CapExceededError:
     return CapExceededError(
         f"not representation-finite within caps: {name}={value} exceeded by a "
-        f"module of dimension {dim} after {found} indecomposables"
+        f"module of dimension {dim} after {found} indecomposables",
+        cap=name, value=value, progress=found, dim=dim,
     )
 
 

@@ -12,16 +12,19 @@ integer vector with integer operations only, and updated by
 cross-multiplication (in the spirit of Bareiss's integer-preserving
 elimination), so coefficient growth stays controlled even when path-algebra
 structure constants compound.  ``rref_rank`` clears above and below every
-pivot and turns the pivot rows into Fractions once, at the end.  Rank,
-containment and complement queries only need a forward pass (``_insert``):
-no back substitution, and no Fraction is built.
+pivot and turns the pivot rows into Fractions once, at the end; input that
+an exact check finds already reduced (most subspace bases are) skips the
+core and comes back as it is.  Rank, containment and complement queries only
+need a forward pass (``_insert``): no back substitution, and no Fraction is
+built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
 
@@ -124,18 +127,23 @@ class Matrix:
         return Matrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     @staticmethod
-    def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
+    def from_blocks(heights: Sequence[int], widths: Sequence[int],
+                    blocks: Dict[Tuple[int, int], "Matrix"]) -> "Matrix":
+        """The matrix with blocks[(b, k)] in row block b (of height
+        heights[b]) and column block k (of width widths[k]), zero elsewhere."""
+        r0, c0 = list(accumulate(heights, initial=0)), list(accumulate(widths, initial=0))
+        rows, cols = r0[-1], c0[-1]
         out = [ZERO] * (rows * cols)
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                base = (r0 + i) * cols + c0
-                out[base : base + b.cols] = b.row(i)
-            r0 += b.rows
-            c0 += b.cols
+        for (b, k), mat in blocks.items():
+            for i in range(mat.rows):
+                base = (r0[b] + i) * cols + c0[k]
+                out[base : base + mat.cols] = mat.row(i)
         return Matrix._of(rows, cols, tuple(out))
+
+    @staticmethod
+    def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
+        return Matrix.from_blocks([b.rows for b in blocks], [b.cols for b in blocks],
+                                  {(k, k): b for k, b in enumerate(blocks)})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -273,13 +281,39 @@ def _rref_int(rows: list, cols: int) -> tuple:
     return rows, pivots
 
 
+def _rref_pivots(m: Matrix) -> Optional[list]:
+    """The pivot columns of m when m is already in reduced row echelon form,
+    else None: zero rows last, leading entries equal to one in strictly
+    increasing columns, and every other entry of a pivot column zero."""
+    ent, cols = m.entries, m.cols
+    pivots = []
+    if cols == 0:
+        return pivots
+    for i in range(0, len(ent), cols):
+        lead = next((c for c in range(cols) if ent[i + c]), None)
+        if lead is None:
+            return pivots if not any(ent[i:]) else None
+        if ent[i + lead] != 1 or (pivots and lead <= pivots[-1]):
+            return None
+        # rows below have later leading entries, so only rows above can
+        # meet this pivot column
+        if any(ent[j + lead] for j in range(0, i, cols)):
+            return None
+        pivots.append(lead)
+    return pivots
+
+
 def rref_rank(m: Matrix) -> tuple:
     """Reduced row echelon form with pivot list and rank.
 
     The returned matrix has the same shape as the input, pivot entries equal
     to one, and is the canonical representative of the row-equivalence class
-    (rref of rref = rref).
+    (rref of rref = rref).  Input that is already reduced is returned as it
+    is; everything else goes through the integer core.
     """
+    pivots = _rref_pivots(m)
+    if pivots is not None:
+        return m, pivots, len(pivots)
     rows, pivots = _rref_int(_int_rows(m), m.cols)
     out = []
     for r, c in enumerate(pivots):

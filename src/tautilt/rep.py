@@ -502,8 +502,25 @@ def _trace_of_product(a: Morphism, b: Morphism) -> Fraction:
 
 
 def end_radical(m: Representation, end_basis: Optional[List[Morphism]] = None) -> List[Morphism]:
-    """Radical of End(m) via the trace form (Dickson; valid in char 0)."""
-    basis = end_basis if end_basis is not None else hom_basis(m, m)
+    """Radical of End(m) via the trace form (Dickson; valid in char 0).
+
+    Without end_basis, or given the canonical `hom_basis(m, m)` itself, the
+    radical is memoized per algebra by m.key(); its elements are then
+    combinations of that canonical basis.  Any other basis is used as given
+    and nothing is stored."""
+    key = m.key()
+    if end_basis is None:
+        end_basis = hom_basis(m, m)
+    elif end_basis is not m.algebra.memo("hom_basis").get((key, key)):
+        return _trace_form_radical(m, end_basis)
+    memo = m.algebra.memo("end_radical")
+    if key not in memo:
+        memo[key] = _trace_form_radical(m, end_basis)
+    return memo[key]
+
+
+def _trace_form_radical(m: Representation, basis: List[Morphism]) -> List[Morphism]:
+    """The kernel of the trace form (x, y) -> tr(xy) on span(basis)."""
     k = len(basis)
     if k == 0:
         return []
@@ -860,7 +877,8 @@ def decompose(m: Representation) -> DecompositionResult:
 
 
 def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
-    """Isomorphism between certified indecomposables, or None.
+    """Isomorphism p -> q, or None, for p with local End (a certified
+    indecomposable); q may be any module.
 
     Deterministic certificate: p = q iff some composite psi . phi avoids
     rad End(p); such a phi is itself invertible because End(p) is local.
@@ -895,7 +913,13 @@ def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
 
 
 def iso_test(m: Representation, n: Representation) -> Optional[Morphism]:
-    """An explicit isomorphism m = n, or None (backed by decompose-and-match)."""
+    """An explicit isomorphism m = n, or None.
+
+    When End(m) is local (dim End - dim rad End = 1) the two modules are
+    compared directly by `_indec_iso`: a map it finds is checked by `is_iso`,
+    and its negative answer is exact because id is not in rad End(m).
+    Otherwise both modules are decomposed and their summands matched.
+    """
     if m.algebra is not n.algebra:
         raise ContractViolation("different algebras")
     if m.dims != n.dims:
@@ -908,6 +932,9 @@ def iso_test(m: Representation, n: Representation) -> Optional[Morphism]:
         return None
     if hom_dim(m, n) == 0:
         return None
+    if hom_dim(m, m) - len(end_radical(m)) == 1:
+        phi = _indec_iso(m, n)
+        return None if phi is None else Morphism(m, n, phi.maps, verify=True)
 
     dm = decompose(m)
     dn = decompose(n)

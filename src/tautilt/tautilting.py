@@ -831,7 +831,8 @@ class HasseQuiver:
 
 def _cap_exceeded(name: str, value: int, interned: int) -> CapExceededError:
     return CapExceededError(
-        f"possibly tau-tilting infinite: {name}={value} exceeded after {interned} pairs"
+        f"possibly tau-tilting infinite: {name}={value} exceeded after {interned} pairs",
+        cap=name, value=value, progress=interned,
     )
 
 

@@ -3,9 +3,26 @@
 import random
 from fractions import Fraction
 
-from tautilt.homology import ext1
+from tautilt.algebra import Path
+from tautilt.errors import ContractViolation
+from tautilt.homology import (
+    _proj_copy_morphism,
+    ext1,
+    projective,
+    projective_sum,
+    right_multiplication,
+)
 from tautilt.linalg import Matrix, solve_linear
-from tautilt.rep import Representation
+from tautilt.rep import (
+    Morphism,
+    Representation,
+    _indec_iso,
+    decompose,
+    direct_sum,
+    hom_dim,
+    identity_morphism,
+    zero_morphism,
+)
 
 # non-monomial relation b*a - d*c
 COMMUTATIVE_SQUARE = (
@@ -117,3 +134,85 @@ def naive_kernel(rows, cols):
             vec[p] = -red[r][f]
         vecs.append(vec)
     return naive_span(vecs, cols)
+
+
+# -- reference constructions: the engine's earlier, slower paths ----------------------
+
+
+def composite_proj_sum_morphism(ps, x, vectors):
+    """`proj_sum_morphism` as a sum over copies k of (P(i_k) -> x) . projection_k."""
+    total = zero_morphism(ps.rep, x)
+    for k, (i, vec) in enumerate(zip(ps.vertices, vectors)):
+        total = total + (_proj_copy_morphism(ps.algebra, i, x, vec) @ ps.projections[k])
+    return total
+
+
+def composite_hom_basis_from_projsum(ps, x):
+    """`hom_basis_from_projsum` with each basis map composed through a projection."""
+    out = []
+    for k, i in enumerate(ps.vertices):
+        d = x.dims[i - 1]
+        for r in range(d):
+            vec = [Fraction(0)] * d
+            vec[r] = Fraction(1)
+            out.append(_proj_copy_morphism(ps.algebra, i, x, vec) @ ps.projections[k])
+    return out
+
+
+def composite_star_of_presentation_map(pres):
+    """`star_of_presentation_map` as a sum of inclusion . component . projection."""
+    a = pres.m.algebra
+    op = a.opposite()
+    op_p0 = projective_sum(op, pres.p0.vertices)
+    op_p1 = projective_sum(op, pres.p1.vertices)
+    dstar = zero_morphism(op_p0.rep, op_p1.rep)
+    for b, i_b in enumerate(pres.p1.vertices):
+        triv_col = a.block_paths(i_b, i_b).index(Path(i_b, ()))
+        offset = sum(projective(a, pres.p1.vertices[x]).dims[i_b - 1] for x in range(b))
+        row_offset = 0
+        for aa, j_a in enumerate(pres.p0.vertices):
+            block = a.block_paths(j_a, i_b)
+            element = {}
+            for r, p in enumerate(block):
+                coeff = pres.d.maps[i_b - 1][row_offset + r, offset + triv_col]
+                if coeff:
+                    element[Path(i_b, tuple(reversed(p.arrows)))] = coeff
+            row_offset += len(block)
+            if element:
+                comp = right_multiplication(op, j_a, i_b, element)
+                dstar = dstar + (op_p1.inclusions[b] @ comp @ op_p0.projections[aa])
+    return op_p0, op_p1, dstar
+
+
+def matched_iso_test(m, n):
+    """`iso_test` by decompose-and-match for every input: an explicit
+    isomorphism m -> n assembled from matched summands, or None."""
+    if m.dims != n.dims:
+        return None
+    if m == n or m.is_zero():
+        return identity_morphism(m)
+    if hom_dim(m, n) != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n) or hom_dim(m, n) == 0:
+        return None
+    dm, dn = decompose(m), decompose(n)
+    if sorted(p.dims for p in dm.parts) != sorted(p.dims for p in dn.parts):
+        return None
+    used = [False] * len(dn.parts)
+    matches = []
+    for p in dm.parts:
+        for j, q in enumerate(dn.parts):
+            phi = None if used[j] else _indec_iso(p, q)
+            if phi is not None:
+                used[j] = True
+                matches.append((j, phi))
+                break
+        else:
+            return None
+    sum_m = direct_sum(m.algebra, dm.parts)
+    sum_n = direct_sum(n.algebra, dn.parts)
+    middle = zero_morphism(sum_m.total, sum_n.total)
+    for (j, phi), proj in zip(matches, sum_m.projections):
+        middle = middle + (sum_n.inclusions[j] @ phi @ proj)
+    iso = dn.splitting.inverse() @ middle @ dm.splitting
+    if not iso.is_iso():
+        raise ContractViolation("reference: assembled isomorphism is not invertible")
+    return Morphism(m, n, iso.maps, verify=True)

@@ -100,8 +100,10 @@ def test_a3rel_kills_long_path():
 def test_cap_exceeded_for_cyclic_quiver_without_relations():
     text = "algebra loop { vertices: 1; arrows: a: 1->1; }"
     src = parse_algebra(text)
-    with pytest.raises(CapExceededError, match="not finite-dimensional within cap"):
+    with pytest.raises(CapExceededError, match="not finite-dimensional within cap") as exc:
         compute_basis(src.quiver, src.relations, cap=8)
+    err = exc.value
+    assert (err.cap, err.value, err.progress, err.dim) == ("length_cap", 8, 8, None)
 
 
 def test_loop_with_relation_is_finite():

@@ -3,8 +3,11 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from tautilt.cli import run
+from tautilt.cli import load_algebra_file, run
+from tautilt.errors import CapExceededError
+from tautilt.homology import enumerate_indecomposables
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -97,6 +100,13 @@ def test_indecs_kronecker_exit_code(tmp_path, capsys):
     assert code == 1
     assert "not representation-finite within caps: dim_cap=12 exceeded" in err
     assert "homology" in err
+    # the same run as a library call carries the cap as fields
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_indecomposables(load_algebra_file(alg("kronecker"), 24), dim_cap=12)
+    assert str(exc.value) in err
+    fields = exc.value
+    assert (fields.cap, fields.value) == ("dim_cap", 12)
+    assert fields.dim > 12 and f"dimension {fields.dim} after {fields.progress} " in err
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

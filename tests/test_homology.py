@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from tautilt.homology import (
     injective,
     minimal_presentation,
     projective,
+    projective_cover_map,
+    projective_sum,
     proj_dim_le1,
     realize_extension,
     tau,
@@ -67,6 +70,25 @@ def kron():
 
 
 # -- presentations ---------------------------------------------------------------
+
+
+def test_projective_sum_is_shared_and_frozen(a3rel):
+    ps = projective_sum(a3rel, (1, 2, 1))
+    assert projective_sum(a3rel, [1, 2, 1]) is ps
+    assert isinstance(ps.inclusions, tuple) and isinstance(ps.projections, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.vertices = (1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.inclusions = ()
+
+
+def test_projective_cover_is_memoized_by_data(a3rel):
+    m = a3rel.injective(2)
+    p0, eps = projective_cover_map(m)
+    again = copy.copy(m)
+    assert again is not m and again == m
+    assert projective_cover_map(again) == (p0, eps)
+    assert eps.is_surjective() and eps.target == m
 
 
 def test_presentation_of_projective(a3):

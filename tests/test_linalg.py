@@ -257,10 +257,49 @@ def _greedy_complement(u_rows, v_rows, cols):
     return naive_span(picked, cols)
 
 
+def _fr(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+# rref_rank returns reduced input as it is and runs the integer core on
+# anything else; these pin both branches, including near misses of each rule
+REDUCED = [
+    (3, _fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),                            # identity
+    (4, _fr([[1, 2, 0, 3], [0, 0, 1, Fraction(-1, 2)], [0, 0, 0, 0], [0, 0, 0, 0]])),
+    (4, []),                                                                # 0 x n
+]
+NEAR_MISSES = [
+    (3, _fr([[2, 0, 1], [0, 1, 0]])),               # leading entry 2
+    (3, _fr([[1, 1, 0], [0, 1, 0]])),               # nonzero entry above a pivot
+    (3, _fr([[1, 0, 0], [0, 0, 0], [0, 1, 0]])),    # zero row between nonzero rows
+    (3, _fr([[0, 1, 0], [1, 0, 0]])),               # decreasing pivots
+]
+
+
+def test_rref_returns_reduced_input_as_is():
+    for cols, rows in REDUCED:
+        m = Matrix.from_rows(rows, cols=cols)
+        red, pivots, rank = rref_rank(m)
+        assert red is m
+        assert (red.to_lists(), pivots) == naive_rref(rows, cols) and rank == len(pivots)
+    for cols, rows in NEAR_MISSES:
+        m = Matrix.from_rows(rows, cols=cols)
+        red, pivots, _ = rref_rank(m)
+        assert red != m
+        assert (red.to_lists(), pivots) == naive_rref(rows, cols)
+
+
 @settings(max_examples=200, deadline=None)
 @given(linalg_cases())
 @example((0, [], [], []))
 @example((3, [], [], []))
+@example((3, REDUCED[0][1], [[]] * 3, REDUCED[0][1][1:]))
+@example((4, REDUCED[1][1], _fr([[1], [2], [0], [0]]), REDUCED[1][1]))
+@example((4, REDUCED[2][1], [], _fr([[1, 0, 0, 0]])))
+@example((3, NEAR_MISSES[0][1], _fr([[1], [1]]), NEAR_MISSES[1][1]))
+@example((3, NEAR_MISSES[1][1], [[], []], NEAR_MISSES[0][1]))
+@example((3, NEAR_MISSES[2][1], _fr([[0], [1], [0]]), NEAR_MISSES[3][1]))
+@example((3, NEAR_MISSES[3][1], [[], []], NEAR_MISSES[2][1]))
 @example((0, [[], []], [[Fraction(1)], [Fraction(0)]], [[]]))
 @example((2, [[Fraction(10**30, 7), Fraction(-1, 10**20)], [Fraction(2), Fraction(3, 5)]],
           [[Fraction(1)], [Fraction(2)]], [[Fraction(1, 3), Fraction(0)]]))

@@ -151,6 +151,17 @@ def test_decompose_conjugated_sum(a3):
     assert all(mult == 1 for _, mult in d.factors)
 
 
+def test_end_radical_memo_only_for_the_canonical_basis(skewed):
+    m = direct_sum(skewed, [skewed.simple(2), skewed.projective(1)]).total
+    basis = hom_basis(m, m)
+    rad = end_radical(m, basis)
+    assert end_radical(m) is rad and end_radical(m, basis) is rad
+    other = [phi.scale(2) for phi in basis]
+    fresh = end_radical(m, other)
+    assert fresh is not rad and len(fresh) == len(rad)
+    assert end_radical(m, other) is not fresh
+
+
 def test_decompose_121_indecomposable(skewed):
     d = decompose(skewed_121(skewed))
     assert len(d.parts) == 1

@@ -560,6 +560,8 @@ def test_hasse_vertex_cap():
     with pytest.raises(CapExceededError, match="possibly tau-tilting infinite") as exc:
         hasse(wild, vertex_cap=10)
     assert "vertex_cap=10 exceeded after 10 pairs" in str(exc.value)
+    err = exc.value
+    assert (err.cap, err.value, err.progress, err.dim) == ("vertex_cap", 10, 10, None)
 
 
 def test_commutative_square_triple_agreement():
