@@ -19,6 +19,7 @@ from .linalg import ONE, ZERO, Matrix, Subspace, rref_rank, subspace_complement
 from .rep import (
     Morphism,
     Representation,
+    _trace_of_product,
     decompose,
     direct_sum,
     end_radical,
@@ -119,14 +120,27 @@ def proj_sum_morphism(ps: ProjSum, x: Representation, vectors: Sequence[Sequence
 
 
 def hom_basis_from_projsum(ps: ProjSum, x: Representation) -> List[Morphism]:
-    """Basis of Hom(ps.rep, x): dim Hom(P(i), x) = dim x_i, no solve needed."""
+    """Basis of Hom(ps.rep, x): dim Hom(P(i), x) = dim x_i, no solve needed.
+
+    The r-th basis map on copy k sends the trivial path to the r-th unit
+    vector of x_i, so its column for a path p is column r of x.path_matrix(p);
+    each path matrix is built once per copy."""
+    a = ps.algebra
     out = []
     for k, i in enumerate(ps.vertices):
-        d = x.dims[i - 1]
-        for r in range(d):
-            vec = [ZERO] * d
-            vec[r] = ONE
-            out.append(_on_copies(ps, x, {k: _proj_copy_morphism(ps.algebra, i, x, vec)}))
+        p = projective(a, i)
+        # per vertex v: the columns of every path matrix x_i -> x_v, path by path
+        columns = []
+        for v in a.quiver.vertices:
+            mats = [x.path_matrix(path) for path in a.block_paths(i, v)]
+            columns.append([[m.entries[c::m.cols] for m in mats] for c in range(x.dims[i - 1])])
+        for r in range(x.dims[i - 1]):
+            maps = []
+            for v in a.quiver.vertices:
+                cols = columns[v - 1][r]
+                entries = tuple(col[row] for row in range(x.dims[v - 1]) for col in cols)
+                maps.append(Matrix._of(x.dims[v - 1], len(cols), entries))
+            out.append(_on_copies(ps, x, {k: Morphism(p, x, maps, verify=False)}))
     return out
 
 
@@ -646,6 +660,9 @@ class ARQuiverData:
         self._ext_table: Optional[List[List[int]]] = None
         self._ext_masks: Optional[Tuple[List[int], List[int]]] = None
         self._support_masks: Optional[Dict[int, int]] = None
+        # torsion-class mask -> its certified support tau-tilting pair, filled
+        # by the mutation closure (`tautilting._pair_of_class`)
+        self.class_pairs: Dict[int, object] = {}
 
     @property
     def count(self) -> int:
@@ -833,6 +850,64 @@ def _enum_cap_exceeded(name: str, value: int, dim: int, found: int) -> CapExceed
     )
 
 
+def _predict_middle(data: ARQuiverData, x: int, y: int,
+                    tau_minus_of: Dict[int, int]) -> Optional[List[int]]:
+    """The summands of the AR middle term of 0 -> X -> E -> Y -> 0, knitted
+    from the arrows out of X already recorded, or None when part of that mesh
+    is not recorded yet.
+
+    The arrows out of X go to the projectives P with X | rad P and to tau- W
+    for each arrow W -> X with W not injective, with equal multiplicities
+    (Auslander-Reiten-Smalo, ch. VII).  The enumeration processes indices in
+    order, so every projective and, when x < y, X itself with its incoming
+    arrows are recorded; each such W needs to be processed too."""
+    if x >= y:
+        return None
+    out: List[int] = []
+    for (j, z), mult in data.arrows.items():
+        if z == x:
+            if j >= y:
+                return None
+            if j not in data.injective_vertex:
+                out.extend([tau_minus_of[j]] * mult)
+        elif j == x and z in data.projective_vertex:
+            out.extend([z] * mult)
+    return out
+
+
+def _middle_certified(data: ARQuiverData, ids: List[int], middle: Representation) -> bool:
+    """Whether the sum of the indecomposables ids is isomorphic to middle, by
+    an explicit map checked with `is_iso`.
+
+    The dimension vectors must add up first.  For each distinct summand Z of
+    multiplicity m the legs Z -> middle come from `hom_basis`: those whose
+    trace pairing tr(psi . phi) with Hom(middle, Z) is independent come
+    first.  End(Z) is split local, so psi . phi avoids rad End(Z) exactly when
+    its trace is nonzero, and Z^m is a summand of middle exactly when m legs
+    pair independently; only `is_iso` on the assembled map decides."""
+    parts = [data.indecomposables[j].dims for j in ids]
+    if tuple(sum(col) for col in zip(*parts)) != middle.dims:
+        return False
+    legs: List[Morphism] = []
+    for j in sorted(set(ids)):
+        z, mult = data.indecomposables[j], ids.count(j)
+        fwd = hom_basis(z, middle)
+        if len(fwd) < mult:
+            return False
+        if len(fwd) > mult:  # choose: legs that pair independently first
+            pairing = Matrix.from_rows(
+                [[_trace_of_product(psi, phi) for phi in fwd] for psi in hom_basis(middle, z)],
+                cols=len(fwd))
+            _, pivots, _ = rref_rank(pairing)
+            fwd = [fwd[c] for c in pivots + [c for c in range(len(fwd)) if c not in pivots]]
+        legs.extend(fwd[:mult])
+    ds = direct_sum(data.algebra, [leg.source for leg in legs])
+    maps = [Matrix.from_blocks([middle.dims[v]], [leg.source.dims[v] for leg in legs],
+                               {(0, k): leg.maps[v] for k, leg in enumerate(legs)})
+            for v in range(data.algebra.vertex_count)]
+    return Morphism(ds.total, middle, maps, verify=False).is_iso()
+
+
 def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
                               dim_cap: int = DEFAULT_DIM_CAP) -> ARQuiverData:
     """Neighbor closure from the projectives.
@@ -841,6 +916,14 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
     (X injective), tau X and the AR middle at X (X non-projective), tau- X
     (X non-injective).  On representation-finite input this walks every mesh;
     cap overruns raise CapExceededError.
+
+    The mesh recorded so far names the rest of an AR sequence in advance.
+    tau Y is first compared with the X whose tau- found Y, and only looked up
+    among all indecomposables when that fails.  The middle term is knitted
+    from the arrows out of tau Y (`_predict_middle`) and accepted only when an
+    explicit map from the predicted sum passes `is_iso`
+    (`_middle_certified`); otherwise it is split by `decompose`, which also
+    finds any summand not enumerated yet.
     """
     memo = a.memo("ar_quiver")
     memo_key = (count_cap, dim_cap)
@@ -870,6 +953,10 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
     queue: deque = deque()
     for i in a.quiver.vertices:
         find_or_add(projectives[i])
+    # tau- X and its inverse, recorded when X is processed: the mesh that
+    # `_predict_middle` knits from, and the candidate for tau Y
+    tau_minus_of: Dict[int, int] = {}
+    tau_of: Dict[int, int] = {}
 
     while queue:
         idx = queue.popleft()
@@ -895,19 +982,23 @@ def enumerate_indecomposables(a: Algebra, count_cap: int = DEFAULT_COUNT_CAP,
                 # the AR middle term at x would have dimension dim x + dim tau x
                 raise _enum_cap_exceeded("dim_cap", dim_cap, x.total_dim + tm.total_dim, data.count)
             seq = ar_sequence(x)
-            t_idx = find_or_add(seq.start)
+            t_idx = tau_of.get(idx)
+            if t_idx is None or not is_isomorphic(data.indecomposables[t_idx], seq.start):
+                t_idx = find_or_add(seq.start)
             data.tau_links[idx] = t_idx
             data.tau_inv_links[t_idx] = idx
-            middle_ids: List[int] = []
-            for part, mult in decompose(seq.middle).factors:
-                j = find_or_add(part)
-                middle_ids.extend([j] * mult)
-                data.arrows[(j, idx)] = data.arrows.get((j, idx), 0) + mult
+            middle_ids = _predict_middle(data, t_idx, idx, tau_minus_of)
+            if middle_ids is None or not _middle_certified(data, middle_ids, seq.middle):
+                middle_ids = []
+                for part, mult in decompose(seq.middle).factors:
+                    middle_ids.extend([find_or_add(part)] * mult)
+            for j in middle_ids:
+                data.arrows[(j, idx)] = data.arrows.get((j, idx), 0) + 1
             data.sequences[idx] = ARSequenceData(idx, t_idx, middle_ids)
 
         if inj_v is None:
-            tminus = tau_minus(x)
-            find_or_add(tminus)
+            t = tau_minus_of[idx] = find_or_add(tau_minus(x))
+            tau_of[t] = idx
         else:
             soc = socle_subrep(x)
             quot, _ = quotient_rep(x, soc)

@@ -31,6 +31,27 @@ from .linalg import (
 SPLIT_RANDOM_CANDIDATES = 32
 
 
+class ModuleKey:
+    """The dimension vector and arrow matrices of a module as a memo key.
+
+    Its hash is computed once, so a lookup keyed by module data does not
+    rehash every matrix entry."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: tuple):
+        self.data = data
+        self._hash = hash(data)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, ModuleKey) and self._hash == other._hash and self.data == other.data
+        )
+
+
 class Representation:
     """Dimension vector plus one exact matrix per arrow."""
 
@@ -75,15 +96,15 @@ class Representation:
             return "".join(str(d) for d in self.dims)
         return "[" + ",".join(str(d) for d in self.dims) + "]"
 
-    def key(self) -> tuple:
+    def key(self) -> "ModuleKey":
         if self._key is None:
-            self._key = (
+            self._key = ModuleKey((
                 self.dims,
                 tuple(
                     (a.name, self.arrow_maps[a.name].entries)
                     for a in self.algebra.quiver.arrows
                 ),
-            )
+            ))
         return self._key
 
     def __eq__(self, other) -> bool:

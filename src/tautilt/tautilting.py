@@ -510,6 +510,18 @@ def _class_to_pair(cls: ModuleClass) -> SupportTauTiltingPair:
     return pair_from_ids(ar, sorted(p.members), kill)
 
 
+def _pair_of_class(ar: ARQuiverData, mask: int) -> SupportTauTiltingPair:
+    """The pair of the torsion class mask, memoized per enumeration: built by
+    `_class_to_pair` (with the Ext-table cross-check of `ext_projectives`)
+    and certified by `check_pair` once, when first built."""
+    pair = ar.class_pairs.get(mask)
+    if pair is None:
+        pair = _class_to_pair(ModuleClass(ar, _members(mask)))
+        check_pair(pair, ar)
+        ar.class_pairs[mask] = pair
+    return pair
+
+
 @dataclass(frozen=True)
 class MutationResult:
     pair: SupportTauTiltingPair
@@ -524,11 +536,12 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
     k is ("module", ar-index of a summand) or ("vertex", killed vertex).
     Both candidate torsion classes of the almost complete pair (U, Q) are
     computed from the Hom table: Fac U as the double perp of U (`fac_class`)
-    and perp0(tau U) cap Q^perp0.  Each is turned back into a pair by its
-    Ext-projectives, which `ext_projectives` cross-checks against the Ext
-    table.  The completion differing from the input is returned, with the
-    direction flag (left iff the removed module is outside gen of the rest),
-    after `check_pair` has re-checked the axioms on the Hom table.
+    and perp0(tau U) cap Q^perp0.  Each is turned back into a pair by
+    `_pair_of_class`, which builds a class's pair from its Ext-projectives
+    (cross-checked against the Ext table) and checks the axioms with
+    `check_pair` once per class, the first time any mutation reaches it.  The
+    completion differing from the input is returned, with the direction flag
+    (left iff the removed module is outside gen of the rest).
     """
     if pair.ids is None:
         raise ContractViolation("pair is not indexed against this enumeration")
@@ -555,8 +568,8 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
         c2 &= ~support[v]
     if c1 == c2:
         raise ContractViolation("internal: the two completions coincide")
-    pair1 = _class_to_pair(ModuleClass(ar, _members(c1)))
-    pair2 = _class_to_pair(ModuleClass(ar, _members(c2)))
+    pair1 = _pair_of_class(ar, c1)
+    pair2 = _pair_of_class(ar, c2)
     if pair1.key() == pair.key():
         other, direction = pair2, "right"
     elif pair2.key() == pair.key():
@@ -566,7 +579,6 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
     removed = ar.labels[which] if kind == "module" else f"P({which})"
     added_ids = set(other.ids or ()) - set(pair.ids)
     added = ar.labels[next(iter(added_ids))] if added_ids else None
-    check_pair(other, ar)
     return MutationResult(other, direction, removed, added)
 
 
@@ -895,18 +907,19 @@ def hasse(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     `check_pair` take classes and tau-rigidity from the same table.  Both
     tables are read off the AR quiver (`ARQuiverData`): Hom from the meshes,
     checked against every dimension vector, and Ext from one syzygy per
-    indecomposable.  The Ext-table cross-check in `ext_projectives` still runs
-    on every mutation.  The edge set is recomputed independently as maximal
-    inclusions of the classes and the two must coincide; the quiver is
+    indecomposable.  Each torsion class becomes a pair once per enumeration
+    (`_pair_of_class`): the Ext-table cross-check in `ext_projectives` and
+    `check_pair` run once per class, not on every mutation.  The edge set
+    is recomputed independently as maximal inclusions of the classes and
+    the two must coincide; the quiver is
     #A-regular with unique source and sink, both read from one degree count.
     Trace-based `gen_class`, D Tr = tau and the exchange-sequence closure of
     `finiteness_probe` are cross-checked against this path in the tests.
     """
     if ar is None:
         ar = enumerate_indecomposables(a)
-    proj_ids = sorted(ar.projective_vertex.keys())
-    start = pair_from_ids(ar, proj_ids, frozenset())
-    check_pair(start, ar)
+    # Fac A = mod A, whose Ext-projectives are the projectives
+    start = _pair_of_class(ar, (1 << ar.count) - 1)
 
     def step(pair: SupportTauTiltingPair, _interned):
         moves = [("module", i) for i in pair.ids] + [("vertex", v) for v in sorted(pair.kill)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from tautilt.algebra import Path
 from tautilt.errors import ContractViolation
 from tautilt.homology import (
+    _on_copies,
     _proj_copy_morphism,
     ext1,
     projective,
@@ -145,6 +146,19 @@ def composite_proj_sum_morphism(ps, x, vectors):
     for k, (i, vec) in enumerate(zip(ps.vertices, vectors)):
         total = total + (_proj_copy_morphism(ps.algebra, i, x, vec) @ ps.projections[k])
     return total
+
+
+def unit_vector_hom_basis_from_projsum(ps, x):
+    """`hom_basis_from_projsum` built one unit vector at a time, every path
+    matrix recomputed for each."""
+    out = []
+    for k, i in enumerate(ps.vertices):
+        d = x.dims[i - 1]
+        for r in range(d):
+            vec = [Fraction(0)] * d
+            vec[r] = Fraction(1)
+            out.append(_on_copies(ps, x, {k: _proj_copy_morphism(ps.algebra, i, x, vec)}))
+    return out
 
 
 def composite_hom_basis_from_projsum(ps, x):

@@ -100,7 +100,8 @@ def test_engine_runs_without_sympy():
         "calls = []\n"
         "real = rep._factor_poly\n"
         "rep._factor_poly = lambda coeffs: calls.append(coeffs) or real(coeffs)\n"
-        "enumerate_indecomposables(fixtures.load('a3lin'))\n"
+        # skewed still splits a middle term the mesh cannot knit yet
+        "enumerate_indecomposables(fixtures.load('skewed'))\n"
         "assert calls, 'the enumeration split no module'\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )

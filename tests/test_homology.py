@@ -12,10 +12,11 @@ from helpers import (
     skewed_121,
 )
 
-from tautilt import fixtures
+from tautilt import fixtures, homology
 from tautilt.algebra import algebra_from_source
 from tautilt.errors import CapExceededError, ContractViolation
 from tautilt.homology import (
+    ARQuiverData,
     ar_sequence,
     bracket,
     dualize,
@@ -35,6 +36,7 @@ from tautilt.homology import (
     transpose,
 )
 from tautilt.rep import (
+    Morphism,
     decompose,
     direct_sum,
     hom_dim,
@@ -396,3 +398,108 @@ def test_middle_never_contains_endpoints(a3, skewed):
         for idx, seq in ar.sequences.items():
             assert idx not in seq.middle
             assert seq.start not in seq.middle
+
+
+# -- knitted AR middle terms --------------------------------------------------------
+
+KNIT_ALGEBRAS = dict(TABLE_ALGEBRAS, d4=(FIXTURES / "d4.alg").read_text())
+# (middle terms knitted from the mesh, middle terms split by decompose); a
+# middle term falls back when part of the mesh at tau Y is not recorded yet
+KNIT_COUNTS = {
+    "a2": (1, 0), "a3lin": (3, 0), "a3rel": (2, 0), "d4": (8, 0), "k1": (0, 0),
+    "skewed": (5, 1), "wild4": (13, 2), "wild5": (24, 6), "square": (7, 0),
+    "double_a3": (3, 3), "nakayama_rad2": (2, 1), "nakayama_rad3": (2, 4),
+}
+
+
+def _count_certificates(monkeypatch):
+    """Record the verdict of every knitting certificate."""
+    verdicts = []
+    real = homology._middle_certified
+
+    def counted(data, ids, middle):
+        verdicts.append(real(data, ids, middle))
+        return verdicts[-1]
+
+    monkeypatch.setattr(homology, "_middle_certified", counted)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(KNIT_ALGEBRAS))
+def test_knitted_enumeration_equals_decompose_only(monkeypatch, name):
+    verdicts = _count_certificates(monkeypatch)
+    knitted = enumerate_indecomposables(algebra_from_source(KNIT_ALGEBRAS[name]))
+    assert not verdicts.count(False)  # every complete prediction is certified
+    assert (verdicts.count(True), len(knitted.sequences) - verdicts.count(True)) == KNIT_COUNTS[name]
+    monkeypatch.setattr(homology, "_predict_middle", lambda *args: None)
+    split = enumerate_indecomposables(algebra_from_source(KNIT_ALGEBRAS[name]))
+    assert knitted.to_json() == split.to_json()
+
+
+def test_tampered_prediction_fails_iso_certificate(monkeypatch):
+    # skewed has two 111s, P(1) and I(3); naming the wrong one keeps the
+    # dimension vectors but no map from it onto the middle term is an iso
+    expected = enumerate_indecomposables(fixtures.load("skewed")).to_json()
+    a = fixtures.load("skewed")
+    real_predict = homology._predict_middle
+    tampered = []
+
+    def swap(data, x, y, tau_minus_of):
+        ids = real_predict(data, x, y, tau_minus_of)
+        twins = [i for i, label in enumerate(data.labels) if label in ("111", "111'")]
+        if ids is None or len(twins) < 2 or not set(ids) & set(twins):
+            return ids
+        tampered.append(y)
+        other = {twins[0]: twins[1], twins[1]: twins[0]}
+        return [other.get(i, i) for i in ids]
+
+    iso_verdicts = []
+    real_is_iso = Morphism.is_iso
+
+    def recorded_is_iso(f):
+        iso_verdicts.append(real_is_iso(f))
+        return iso_verdicts[-1]
+
+    monkeypatch.setattr(homology, "_predict_middle", swap)
+    monkeypatch.setattr(Morphism, "is_iso", recorded_is_iso)
+    real_certified = homology._middle_certified
+    refused = []
+
+    def certified(data, ids, middle):
+        before = len(iso_verdicts)
+        ok = real_certified(data, ids, middle)
+        if not ok:
+            assert iso_verdicts[before:] and iso_verdicts[-1] is False
+            refused.append(ok)
+        return ok
+
+    monkeypatch.setattr(homology, "_middle_certified", certified)
+    ar = enumerate_indecomposables(a)
+    assert tampered and len(refused) == len(tampered)
+    assert ar.to_json() == expected
+
+
+# AR sequences whose start tau Y no tau- link named in advance, so that
+# `index_of` looks it up among all indecomposables
+TAU_LOOKUPS = {"a3rel": 0, "d4": 0, "square": 0, "skewed": 1, "wild5": 5, "nakayama_rad3": 2}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_LOOKUPS))
+def test_tau_candidate_from_tau_minus_is_tried_first(monkeypatch, name):
+    starts, looked_up = [], []
+    real_sequence, real_index_of = homology.ar_sequence, ARQuiverData.index_of
+
+    def sequence(m):
+        seq = real_sequence(m)
+        starts.append(seq.start)
+        return seq
+
+    def index_of(self, m):
+        looked_up.append(m)
+        return real_index_of(self, m)
+
+    monkeypatch.setattr(homology, "ar_sequence", sequence)
+    monkeypatch.setattr(ARQuiverData, "index_of", index_of)
+    ar = enumerate_indecomposables(algebra_from_source(KNIT_ALGEBRAS[name]))
+    assert len(starts) == len(ar.sequences)
+    assert sum(any(m is t for t in starts) for m in looked_up) == TAU_LOOKUPS[name]

@@ -1,6 +1,8 @@
-"""The block-built presentation maps and the direct isomorphism test for
-modules with local End agree with the earlier constructions kept in
-`helpers` (sums of composites, decompose-and-match), over A and A^op."""
+"""The block-built presentation maps, the path-matrix basis of
+Hom(sum of P(i), X) and the direct isomorphism test for modules with local
+End agree with the earlier constructions kept in `helpers` (sums of
+composites, one unit vector at a time, decompose-and-match), over A and
+A^op."""
 
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from helpers import (
     composite_star_of_presentation_map,
     conjugate,
     matched_iso_test,
+    unit_vector_hom_basis_from_projsum,
 )
 
 from tautilt import fixtures
@@ -26,6 +29,7 @@ from tautilt.homology import (
     hom_basis_from_projsum,
     minimal_presentation,
     proj_sum_morphism,
+    projective_sum,
     star_of_presentation_map,
 )
 from tautilt.rep import direct_sum, end_radical, hom_basis, iso_test
@@ -68,6 +72,19 @@ def test_block_built_maps_match_sums_of_composites(indecs):
         ref_p0, ref_p1, ref = composite_star_of_presentation_map(pres)
         assert (op_p0, op_p1) == (ref_p0, ref_p1)
         assert _same_maps(dstar, ref)
+
+
+def test_hom_basis_from_projsum_matches_unit_vector_construction(indecs):
+    _, mods = indecs
+    a = mods[0].algebra
+    # every projective once, then the first one again: two copies of one vertex
+    ps = projective_sum(a, list(a.quiver.vertices) + [1])
+    for x in mods:
+        pres = minimal_presentation(x)
+        for p, target in ((ps, x), (pres.p0, x), (pres.p1, pres.syzygy)):
+            new = hom_basis_from_projsum(p, target)
+            old = unit_vector_hom_basis_from_projsum(p, target)
+            assert len(new) == len(old) and all(_same_maps(f, g) for f, g in zip(new, old))
 
 
 def _check_agrees(m, n):

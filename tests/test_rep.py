@@ -375,3 +375,20 @@ def test_quotient_rep_shapes(a3):
     q, proj = quotient_rep(p1, rad)
     assert q.dims == (1, 0, 0)
     assert proj.is_surjective()
+
+
+def test_module_key_hashes_once(a3, monkeypatch):
+    # memo lookups keyed by module data hash the key object, whose hash is
+    # computed when the key is built, not from every matrix entry again
+    m = R(a3, (1, 1, 0), a=[[2]])
+    same = R(a3, (1, 1, 0), a=[[2]])
+    other = R(a3, (1, 1, 0), a=[[3]])
+    key = m.key()
+    assert key is m.key()
+    assert key == same.key() and hash(key) == hash(same.key())
+    assert key != other.key()
+    hashed = []
+    real = rep.Fraction.__hash__
+    monkeypatch.setattr(rep.Fraction, "__hash__", lambda x: hashed.append(x) or real(x))
+    lookups = {(key, key): 1}
+    assert lookups[(m.key(), m.key())] == 1 and not hashed

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from helpers import COMMUTATIVE_SQUARE, DOUBLE_A3_RAD2
 
@@ -637,3 +639,27 @@ def test_check_pair_refuses_foreign_enumeration(ar2, ar3):
     pair = pair_from_ids(ar2, sorted(by_label(ar2, "01", "11")), frozenset())
     with pytest.raises(ContractViolation, match="not indexed against this enumeration"):
         check_pair(pair, ar3)
+
+
+@pytest.mark.parametrize("name", ["d4", "wild5"])
+def test_closure_builds_and_checks_each_pair_once(monkeypatch, name):
+    # every mutation looks both completions up in the enumeration's memo, so
+    # each torsion class is turned into a pair (Ext-table cross-check
+    # included) and certified by check_pair exactly once
+    source = (Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.alg").read_text()
+    counts = {"_class_to_pair": 0, "check_pair": 0, "mutate": 0}
+    for fn in counts:
+        real = getattr(tt, fn)
+
+        def counted(*args, _fn=fn, _real=real, **kwargs):
+            counts[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tt, fn, counted)
+    a = fixtures.algebra_from_source(source)
+    hq = hasse(a)
+    v = hq.vertex_count
+    assert counts == {"_class_to_pair": v, "check_pair": v, "mutate": v * a.vertex_count}
+    again = hasse(a)  # same enumeration, same memo: nothing is rebuilt
+    assert again.to_json() == hq.to_json()
+    assert counts == {"_class_to_pair": v, "check_pair": v, "mutate": 2 * v * a.vertex_count}
