@@ -381,11 +381,9 @@ class Algebra:
         self.basis: List[Path] = []
         for key in sorted(blocks):
             self.basis.extend(blocks[key].residues)
-        self._basis_index = {p: i for i, p in enumerate(self.basis)}
         self._opposite: Optional[Algebra] = None
         self._opposite_of: Optional[Algebra] = None
         self._memos: Dict[str, dict] = {}
-        self.mult_table = self._build_mult_table()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -407,9 +405,6 @@ class Algebra:
     def block_paths(self, s: int, t: int) -> List[Path]:
         block = self._blocks.get((s, t))
         return block.residues if block else []
-
-    def basis_index(self, path: Path) -> int:
-        return self._basis_index[path]
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -438,21 +433,6 @@ class Algebra:
         vec = [Fraction(0)] * len(block.paths)
         vec[block.index[path]] = Fraction(1)
         return block.reduce_coords(vec)
-
-    def _build_mult_table(self) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
-        table = {}
-        for i, p in enumerate(self.basis):
-            for j, q in enumerate(self.basis):
-                # product p * q means "first q, then p"
-                if q.target(self.quiver) != p.source:
-                    continue
-                concat = Path(q.source, q.arrows + p.arrows)
-                expansion = self.reduce_path(concat)
-                table[(i, j)] = {self._basis_index[r]: c for r, c in expansion.items()}
-        return table
-
-    def multiply_basis(self, i: int, j: int) -> Dict[int, Fraction]:
-        return self.mult_table.get((i, j), {})
 
     # -- structural modules ---------------------------------------------------
 
@@ -505,11 +485,6 @@ class Algebra:
             # the opposite arrow with the same name runs target -> source
             maps[arrow.name] = pop.arrow_maps[arrow.name].transpose()
         return rep.Representation(self, dims, maps)
-
-    def projective_generator(self):
-        from . import rep
-
-        return rep.direct_sum(self, [self.projective(i) for i in self.quiver.vertices]).total
 
     # -- derived algebras ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .algebra import Algebra, algebra_from_source
+from .algebra import DEFAULT_LENGTH_CAP, Algebra, algebra_from_source
 from .errors import ContractViolation, ParseError, TautiltError
 from .homology import (
     ARQuiverData,
@@ -274,7 +274,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d(os.environ.get("TAUTILT_CACHE", DEFAULT_CACHE_DIR)))
     parser.add_argument("--no-cache", action="store_true",
                         default=d(False))
-    parser.add_argument("--length-cap", type=int, default=d(24),
+    parser.add_argument("--length-cap", type=int, default=d(DEFAULT_LENGTH_CAP),
                         help="path length cap for the basis")
     parser.add_argument("--count-cap", type=int, default=d(DEFAULT_COUNT_CAP))
     parser.add_argument("--dim-cap", type=int, default=d(DEFAULT_DIM_CAP))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra_from_source
+from .algebra import DEFAULT_LENGTH_CAP, Algebra, algebra_from_source
 
 A2 = """\
 algebra a2 {
@@ -72,5 +72,5 @@ SOURCES = {
 }
 
 
-def load(name: str, cap: int = 24) -> Algebra:
+def load(name: str, cap: int = DEFAULT_LENGTH_CAP) -> Algebra:
     return algebra_from_source(SOURCES[name], cap=cap)

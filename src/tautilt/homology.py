@@ -500,17 +500,6 @@ def factor_through(f: Morphism, g: Morphism, basis: Optional[List[Morphism]] = N
     return _assemble(cand, coeffs, f.source, g.source)
 
 
-def factor_left(phi: Morphism, f: Morphism, basis: Optional[List[Morphism]] = None) -> Optional[Morphism]:
-    """g with g . f = phi, for phi: X -> W and f: X -> C; None when impossible."""
-    if phi.source != f.source:
-        raise ContractViolation("factor_left: sources differ")
-    cand = basis if basis is not None else hom_basis(f.target, phi.target)
-    coeffs = _combination_coefficients([h @ f for h in cand], list(phi.flat()))
-    if coeffs is None:
-        return None
-    return _assemble(cand, coeffs, f.target, phi.target)
-
-
 def realize_extension(c: ExtClass) -> Tuple[Representation, Morphism, Morphism]:
     """Short exact sequence 0 -> n -> e -> m -> 0 with class c (pushout of
     syzygy -> p0 along the representative)."""

@@ -501,9 +501,3 @@ def subspace_complement(u: Subspace, v: Optional[Subspace] = None) -> Subspace:
     echelon = _echelon(u.basis)
     picked = [v.basis.row(i) for i, row in enumerate(_int_rows(v.basis)) if _insert(echelon, row)]
     return Subspace.from_rows(u.ambient_dim, picked)
-
-
-def subspace_ops(u: Subspace, v: Subspace) -> tuple:
-    """(sum, intersection, complement-of-u-in-sum) for equal ambient dims."""
-    s = subspace_sum(u, v)
-    return s, subspace_intersection(u, v), subspace_complement(u, s)

@@ -17,12 +17,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .algebra import Algebra, quotient_by_vertices
 from .errors import CapExceededError, ContractViolation, DomainError
 from .homology import (
+    DEFAULT_DIM_CAP,
     ARQuiverData,
     ExtClass,
     Presentation,
+    dualize,
+    dualize_morphism,
     enumerate_indecomposables,
     ext1,
-    factor_left,
     g_vector,
     projective,
     projective_sum,
@@ -403,15 +405,18 @@ class SupportTauTiltingPair:
     ids: Optional[Tuple[int, ...]] = None
 
     def key(self):
-        """(sorted ids, kill) for an indexed pair; otherwise (sorted summand
-        g-vectors, kill), which determines the pair up to isomorphism
-        (Adachi-Iyama-Reiten 2014, Thm 5.5) without depending on bases."""
+        """(ids, sorted kill) for an indexed pair, whose ids `pair_from_ids`
+        stores sorted; otherwise (sorted summand g-vectors, sorted kill), which
+        determines the pair up to isomorphism (Adachi-Iyama-Reiten 2014,
+        Thm 5.5) without depending on bases.  Built once per pair."""
+        return self._key
+
+    @cached_property
+    def _key(self):
+        kill = tuple(sorted(self.kill))
         if self.ids is not None:
-            return (tuple(sorted(self.ids)), tuple(sorted(self.kill)))
-        return (
-            tuple(sorted(g_vector(r) for r in self.summands)),
-            tuple(sorted(self.kill)),
-        )
+            return (self.ids, kill)
+        return (tuple(sorted(g_vector(r) for r in self.summands)), kill)
 
     def label(self, ar: Optional[ARQuiverData] = None) -> str:
         if self.ids is not None and ar is not None:
@@ -587,149 +592,59 @@ def mutate(pair: SupportTauTiltingPair, ar: ARQuiverData, k) -> MutationResult:
 # --------------------------------------------------------------------------
 
 
-def add_preenvelope(x: Representation, types: Sequence[Representation]) -> Tuple[Morphism, List[int]]:
-    """The stacked map x -> sum of W^{dim Hom(x, W)}: an add(U)-preenvelope.
+def add_envelope(x: Representation, types: Sequence[Representation]) -> Tuple[Morphism, List[int]]:
+    """A minimal left add(U)-approximation x -> sum of copies of the types.
 
-    Returns the map and the list of type indices, one per codomain copy.
+    Returns the map and the list of type indices, one per codomain copy.  The
+    legs are the hom_basis(x, W) of each type W in turn.  A stack of legs
+    (phi_k): x -> sum of W_k is an add(U)-preenvelope iff, for each type W,
+    the composites h . phi_k with h in Hom(W_k, W) span Hom(x, W)
+    (Auslander-Smalo 1980), so each composite is flattened once and the test
+    is one rank per type.  The first copy that can go is dropped and the scan
+    restarts, until no copy can go.
     """
-    legs: List[Morphism] = []
-    owners: List[int] = []
-    for t_idx, w in enumerate(types):
-        for phi in hom_basis(x, w):
-            legs.append(phi)
-            owners.append(t_idx)
+    a = x.algebra
+    bases = [hom_basis(x, w) for w in types]
+    legs = [(t, phi) for t, basis in enumerate(bases) for phi in basis]
     if not legs:
-        target = zero_rep(x.algebra)
-        return zero_morphism(x, target), []
-    ds = direct_sum(x.algebra, [types[o] for o in owners])
-    total = zero_morphism(x, ds.total)
-    for leg, inc in zip(legs, ds.inclusions):
-        total = total + (inc @ leg)
-    return total, owners
+        return zero_morphism(x, zero_rep(a)), []
+    width = [sum(d * e for d, e in zip(x.dims, w.dims)) for w in types]
+    # comps[k][t]: the flattened h . phi for leg k = (o, phi), h in hom_basis(W_o, W_t)
+    comps = [[[(h @ phi).flat() for h in hom_basis(types[o], w)] for w in types]
+             for o, phi in legs]
 
+    def spans(keep: List[int]) -> bool:
+        return all(
+            Matrix.from_rows([row for k in keep for row in comps[k][t]], cols=width[t]).rank()
+            == len(basis)
+            for t, basis in enumerate(bases) if basis
+        )
 
-def _is_preenvelope(f: Morphism, types: Sequence[Representation]) -> bool:
-    """Every map from f.source into each type must factor through f."""
-    for w in types:
-        for phi in hom_basis(f.source, w):
-            if factor_left(phi, f) is None:
-                return False
-    return True
-
-
-def minimize_preenvelope(f: Morphism, owners: List[int], types: Sequence[Representation]) -> Tuple[Morphism, List[int]]:
-    """Greedy copy removal with a factoring re-check after each removal,
-    producing a codomain-minimal preenvelope (the envelope)."""
-    current_owners = list(owners)
-    current = f
-
-    def rebuild(keep: List[int]) -> Tuple[Morphism, List[int]]:
-        kept_types = [current_owners[i] for i in keep]
-        ds = direct_sum(f.source.algebra, [types[current_owners[i]] for i in keep])
-        maps = []
-        for v in range(f.source.algebra.vertex_count):
-            rows = []
-            offset = 0
-            spans = []
-            for i, o in enumerate(current_owners):
-                d = types[o].dims[v]
-                spans.append((offset, offset + d, i))
-                offset += d
-            for lo, hi, i in spans:
-                if i in keep:
-                    for r in range(lo, hi):
-                        rows.append(list(current.maps[v].row(r)))
-            maps.append(Matrix.from_rows(rows, cols=f.source.dims[v]))
-        return Morphism(f.source, ds.total, maps, verify=False), kept_types
-
-    changed = True
-    while changed:
-        changed = False
-        for drop in range(len(current_owners)):
-            keep = [i for i in range(len(current_owners)) if i != drop]
-            cand, cand_owners = rebuild(keep)
-            if _is_preenvelope(cand, types):
-                current, current_owners = cand, cand_owners
-                changed = True
+    keep = list(range(len(legs)))
+    dropped = True
+    while dropped:
+        dropped = False
+        for drop in keep:
+            rest = [k for k in keep if k != drop]
+            if spans(rest):
+                keep, dropped = rest, True
                 break
-    return current, current_owners
-
-
-def add_precover(x: Representation, types: Sequence[Representation]) -> Tuple[Morphism, List[int]]:
-    """The stacked map sum of W^{dim Hom(W, x)} -> x: an add(U)-precover."""
-    legs: List[Morphism] = []
-    owners: List[int] = []
-    for t_idx, w in enumerate(types):
-        for phi in hom_basis(w, x):
-            legs.append(phi)
-            owners.append(t_idx)
-    if not legs:
-        source = zero_rep(x.algebra)
-        return zero_morphism(source, x), []
-    ds = direct_sum(x.algebra, [types[o] for o in owners])
-    total = zero_morphism(ds.total, x)
-    for leg, proj in zip(legs, ds.projections):
-        total = total + (leg @ proj)
-    return total, owners
-
-
-def _is_precover(f: Morphism, types: Sequence[Representation]) -> bool:
-    """Every map from each type into f.target must factor through f."""
-    from .homology import factor_through
-
-    for w in types:
-        for phi in hom_basis(w, f.target):
-            if factor_through(phi, f) is None:
-                return False
-    return True
-
-
-def minimize_precover(f: Morphism, owners: List[int], types: Sequence[Representation]) -> Tuple[Morphism, List[int]]:
-    """Greedy domain-copy removal: the result is a domain-minimal precover,
-    i.e. the add(U)-cover."""
-    current_owners = list(owners)
-    current = f
-
-    def rebuild(keep: List[int]) -> Tuple[Morphism, List[int]]:
-        kept_types = [current_owners[i] for i in keep]
-        ds = direct_sum(f.target.algebra, [types[current_owners[i]] for i in keep])
-        maps = []
-        for v in range(f.target.algebra.vertex_count):
-            spans = []
-            offset = 0
-            for i, o in enumerate(current_owners):
-                d = types[o].dims[v]
-                spans.append((offset, offset + d, i))
-                offset += d
-            cols = []
-            for lo, hi, i in spans:
-                if i in keep:
-                    cols.extend(range(lo, hi))
-            rows = [
-                [current.maps[v][r, c] for c in cols]
-                for r in range(f.target.dims[v])
-            ]
-            maps.append(Matrix.from_rows(rows, cols=len(cols)))
-        return Morphism(ds.total, f.target, maps, verify=False), kept_types
-
-    changed = True
-    while changed:
-        changed = False
-        for drop in range(len(current_owners)):
-            keep = [i for i in range(len(current_owners)) if i != drop]
-            cand, cand_owners = rebuild(keep)
-            if _is_precover(cand, types):
-                current, current_owners = cand, cand_owners
-                changed = True
-                break
-    return current, current_owners
+    owners = [legs[k][0] for k in keep]
+    target = direct_sum(a, [types[o] for o in owners]).total
+    maps = [
+        Matrix.from_blocks([types[o].dims[v] for o in owners], [x.dims[v]],
+                           {(b, 0): legs[k][1].maps[v] for b, k in enumerate(keep)})
+        for v in range(a.vertex_count)
+    ]
+    return Morphism(x, target, maps, verify=False), owners
 
 
 def add_cover(x: Representation, types: Sequence[Representation]) -> Morphism:
-    """A domain-minimal right add(U)-approximation of x."""
-    pre, owners = add_precover(x, types)
-    cover, _ = minimize_precover(pre, owners, types)
-    return cover
+    """A minimal right add(U)-approximation of x: D of the add(DU)-envelope of
+    Dx over the opposite algebra, since the exact duality D turns minimal left
+    approximations into minimal right ones."""
+    env, _ = add_envelope(dualize(x), [dualize(w) for w in types])
+    return dualize_morphism(env)
 
 
 @dataclass
@@ -741,11 +656,13 @@ class ExchangeResult:
 
 
 def exchange_step(u_summands: Sequence[Representation], x: Representation) -> ExchangeResult:
-    """One left mutation by the exchange sequence x -> U' -> y -> 0."""
+    """One left mutation by the exchange sequence x -> U' -> y -> 0, where
+    x -> U' is the minimal left add(U)-approximation of `add_envelope` and y
+    its cokernel: zero when one vertex dies, otherwise the new indecomposable
+    summand."""
     a = x.algebra
     types = list(u_summands)
-    pre, owners = add_preenvelope(x, types)
-    env, env_owners = minimize_preenvelope(pre, owners, types)
+    env, _ = add_envelope(x, types)
     y, _ = cokernel(env)
     if y.is_zero():
         support = set()
@@ -1032,12 +949,13 @@ class ProbeResult:
 
 
 def finiteness_probe(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
-                     dim_cap: int = 24) -> ProbeResult:
+                     dim_cap: int = DEFAULT_DIM_CAP) -> ProbeResult:
     """Left-mutation closure from (A, empty) via exchange sequences.
 
     The closure is `_mutation_closure` with one step per pair: restrict the
-    pair to the quotient by its killed vertices, run `exchange_step` on each
-    summand outside gen of the rest, and extend the results back.  Pairs are
+    pair to the quotient by its killed vertices, run `exchange_step` (the
+    cokernel of the minimal left approximation by the rest, `add_envelope`)
+    on each summand outside gen of the rest, and extend the results back.  Pairs are
     identified by their g-vector keys, each hit confirmed by `is_isomorphic`,
     and every new pair is certified by `check_pair`.  Needs no enumeration of
     indecomposables, so it runs on representation-infinite algebras and

@@ -1,11 +1,14 @@
 """Shared construction helpers for the test suite."""
 
 import random
+from itertools import accumulate
 from fractions import Fraction
 
 from tautilt.algebra import Path
 from tautilt.errors import ContractViolation
 from tautilt.homology import (
+    _assemble,
+    _combination_coefficients,
     _on_copies,
     _proj_copy_morphism,
     ext1,
@@ -20,9 +23,11 @@ from tautilt.rep import (
     _indec_iso,
     decompose,
     direct_sum,
+    hom_basis,
     hom_dim,
     identity_morphism,
     zero_morphism,
+    zero_rep,
 )
 
 # non-monomial relation b*a - d*c
@@ -230,3 +235,50 @@ def matched_iso_test(m, n):
     if not iso.is_iso():
         raise ContractViolation("reference: assembled isomorphism is not invertible")
     return Morphism(m, n, iso.maps, verify=True)
+
+
+def factor_left(phi, f):
+    """g with g . f = phi, for phi: X -> W and f: X -> C; None when impossible."""
+    cand = hom_basis(f.target, phi.target)
+    coeffs = _combination_coefficients([h @ f for h in cand], list(phi.flat()))
+    return None if coeffs is None else _assemble(cand, coeffs, f.target, phi.target)
+
+
+def factoring_envelope(x, types):
+    """`add_envelope` by factoring: the legs hom_basis(x, W) summed into
+    x -> sum of copies through the inclusions; then the first copy whose
+    removal leaves every map x -> W factoring through the rest (`factor_left`)
+    is dropped, by copying the other rows, and the scan restarts.  Returns the
+    map and the copy owners."""
+    a = x.algebra
+    legs = [(t, phi) for t, w in enumerate(types) for phi in hom_basis(x, w)]
+    if not legs:
+        return zero_morphism(x, zero_rep(a)), []
+    ds = direct_sum(a, [types[t] for t, _ in legs])
+    pre = zero_morphism(x, ds.total)
+    for (_, phi), inc in zip(legs, ds.inclusions):
+        pre = pre + (inc @ phi)
+
+    def rebuild(keep):
+        """pre with only the rows of the kept copies."""
+        maps = []
+        for v in range(a.vertex_count):
+            starts = list(accumulate((types[t].dims[v] for t, _ in legs), initial=0))
+            rows = [pre.maps[v].row(r) for k in keep for r in range(starts[k], starts[k + 1])]
+            maps.append(Matrix.from_rows(rows, cols=x.dims[v]))
+        target = direct_sum(a, [types[legs[k][0]] for k in keep]).total
+        return Morphism(x, target, maps, verify=False)
+
+    def is_preenvelope(f):
+        return all(factor_left(phi, f) is not None for w in types for phi in hom_basis(x, w))
+
+    keep = list(range(len(legs)))
+    dropped = True
+    while dropped:
+        dropped = False
+        for drop in keep:
+            rest = [k for k in keep if k != drop]
+            if is_preenvelope(rebuild(rest)):
+                keep, dropped = rest, True
+                break
+    return rebuild(keep), [legs[k][0] for k in keep]

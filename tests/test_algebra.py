@@ -2,6 +2,7 @@ import pytest
 
 from tautilt import fixtures
 from tautilt.algebra import (
+    Path,
     algebra_from_source,
     compute_basis,
     parse_algebra,
@@ -157,9 +158,15 @@ def test_multiplication_table_unital_and_associative():
         a = fixtures.load(name)
         n = len(a.basis)
         idemp = {i for i, p in enumerate(a.basis) if p.length == 0}
+        index = {p: i for i, p in enumerate(a.basis)}
 
         def mult(i, j):
-            return a.multiply_basis(i, j)
+            # basis[i] * basis[j] means "first basis[j], then basis[i]"
+            p, q = a.basis[i], a.basis[j]
+            if q.target(a.quiver) != p.source:
+                return {}
+            product = a.reduce_path(Path(q.source, q.arrows + p.arrows))
+            return {index[r]: c for r, c in product.items()}
 
         for i in idemp:
             for j in idemp:

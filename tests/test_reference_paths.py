@@ -1,9 +1,11 @@
 """The block-built presentation maps, the path-matrix basis of
-Hom(sum of P(i), X) and the direct isomorphism test for modules with local
-End agree with the earlier constructions kept in `helpers` (sums of
-composites, one unit vector at a time, decompose-and-match), over A and
-A^op."""
+Hom(sum of P(i), X), the direct isomorphism test for modules with local
+End and the rank-tested add(U)-envelope agree with the earlier constructions
+kept in `helpers` (sums of composites, one unit vector at a time,
+decompose-and-match, the factoring greedy), over A and A^op; the dual
+add(U)-cover is checked to be a minimal right approximation."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from helpers import (
     composite_proj_sum_morphism,
     composite_star_of_presentation_map,
     conjugate,
+    factoring_envelope,
     matched_iso_test,
     unit_vector_hom_basis_from_projsum,
 )
@@ -26,13 +29,15 @@ from tautilt.algebra import algebra_from_source
 from tautilt.errors import NotCertifiableError
 from tautilt.homology import (
     enumerate_indecomposables,
+    factor_through,
     hom_basis_from_projsum,
     minimal_presentation,
     proj_sum_morphism,
     projective_sum,
     star_of_presentation_map,
 )
-from tautilt.rep import direct_sum, end_radical, hom_basis, iso_test
+from tautilt.rep import direct_sum, end_radical, hom_basis, iso_test, zero_morphism
+from tautilt.tautilting import add_cover, add_envelope, is_tau_rigid_indexed
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SOURCES = {name: fixtures.SOURCES[name] for name in ("a3rel", "skewed", "wild4")}
@@ -126,3 +131,64 @@ def test_iso_test_refuses_non_split_end():
     for test in (iso_test, matched_iso_test):
         with pytest.raises(NotCertifiableError):
             test(m, conjugate(m, 4))
+
+
+@pytest.fixture(scope="module",
+                params=[(name, side) for name in ("a3rel", "skewed", "wild4") for side in ("A", "A^op")],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def rigid_types(request):
+    """The indecomposables and every tau-rigid U with one or two summands."""
+    name, side = request.param
+    a = algebra_from_source(SOURCES[name])
+    if side == "A^op":
+        a = a.opposite()
+    ar = enumerate_indecomposables(a)
+    mods = ar.indecomposables
+    ids = [(i,) for i in range(ar.count)]
+    ids += [(i, j) for i in range(ar.count) for j in range(i + 1, ar.count)]
+    return mods, [[mods[i] for i in u] for u in ids if is_tau_rigid_indexed(u, ar)]
+
+
+def test_add_envelope_matches_factoring_greedy(rigid_types):
+    mods, us = rigid_types
+    for x in mods:
+        for types in us:
+            env, owners = add_envelope(x, types)
+            ref, ref_owners = factoring_envelope(x, types)
+            assert owners == ref_owners and _same_maps(env, ref)
+
+
+def _copies(source, types, most):
+    """(type index of each copy, their direct sum) for the copies of the types,
+    in type order and at most most[t] of types[t], whose sum is source."""
+    a = source.algebra
+    for counts in itertools.product(*(range(m + 1) for m in most)):
+        owners = [t for t, c in enumerate(counts) for _ in range(c)]
+        dims = tuple(sum(types[t].dims[v] for t in owners) for v in range(a.vertex_count))
+        if dims == source.dims:
+            copies = direct_sum(a, [types[t] for t in owners])
+            if copies.total == source:
+                return owners, copies
+    return None, None
+
+
+def test_add_cover_is_a_minimal_right_approximation(rigid_types):
+    mods, us = rigid_types
+    a = mods[0].algebra
+    for x in mods:
+        for types in us:
+            cover = add_cover(x, types)
+            bases = [hom_basis(w, x) for w in types]
+            owners, copies = _copies(cover.source, types, [len(b) for b in bases])
+            assert owners is not None and cover.target == x
+            assert all(factor_through(phi, cover) is not None for b in bases for phi in b)
+            parts = [cover @ inc for inc in copies.inclusions]
+            for drop, o in enumerate(owners):
+                rest = [k for k in range(len(owners)) if k != drop]
+                sub = direct_sum(a, [types[owners[k]] for k in rest])
+                restricted = zero_morphism(sub.total, x)
+                for j, k in enumerate(rest):
+                    restricted = restricted + (parts[k] @ sub.projections[j])
+                # the maps from the dropped copy's type first: one of them must fail
+                maps = bases[o] + [phi for t, b in enumerate(bases) if t != o for phi in b]
+                assert any(factor_through(phi, restricted) is None for phi in maps)
