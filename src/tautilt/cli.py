@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import DEFAULT_LENGTH_CAP, Algebra, algebra_from_source
@@ -219,16 +219,22 @@ class ARCache:
 # --------------------------------------------------------------------------
 
 
+def _marks(ar: ARQuiverData, i: int) -> List[str]:
+    """P(v) and I(v) for an indecomposable that is projective or injective."""
+    marks = []
+    if i in ar.projective_vertex:
+        marks.append(f"P({ar.projective_vertex[i]})")
+    if i in ar.injective_vertex:
+        marks.append(f"I({ar.injective_vertex[i]})")
+    return marks
+
+
 def ar_quiver_dot(ar: ARQuiverData) -> str:
     order = sorted(range(ar.count), key=lambda i: ar.labels[i])
     node_id = {i: f"n{k}" for k, i in enumerate(order)}
     lines = ["digraph ar_quiver {", "  rankdir=LR;"]
     for i in order:
-        marks = []
-        if i in ar.projective_vertex:
-            marks.append(f"P({ar.projective_vertex[i]})")
-        if i in ar.injective_vertex:
-            marks.append(f"I({ar.injective_vertex[i]})")
+        marks = _marks(ar, i)
         label = ar.labels[i] + (f"\\n{' '.join(marks)}" if marks else "")
         lines.append(f'  {node_id[i]} [label="{label}"];')
     for (i, j), mult in sorted(ar.arrows.items(), key=lambda kv: (ar.labels[kv[0][0]], ar.labels[kv[0][1]])):
@@ -252,15 +258,262 @@ def hasse_dot(hq) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_graph(data, fmt: str) -> str:
-    """DOT or JSON text for ar-quiver or Hasse data."""
-    if fmt == "json":
-        return json.dumps(data.to_json(), sort_keys=True, indent=1) + "\n"
-    if fmt == "dot":
-        if isinstance(data, ARQuiverData):
-            return ar_quiver_dot(data)
-        return hasse_dot(data)
-    raise TautiltError(f"unknown graph format {fmt!r}")
+# --------------------------------------------------------------------------
+# verbs
+# --------------------------------------------------------------------------
+
+
+def load_algebra_file(path: str, cap: int) -> Algebra:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return algebra_from_source(text, cap=cap)
+
+
+class Context:
+    """One invocation: its arguments, its algebra, and the algebra's AR data,
+    read from the cache or enumerated when a verb first asks for it."""
+
+    def __init__(self, args):
+        self.args = args
+        self.algebra = load_algebra_file(args.algebra, args.length_cap)
+        self._ar: Optional[ARQuiverData] = None
+
+    def ar(self) -> ARQuiverData:
+        if self._ar is None:
+            args = self.args
+            caps = {"count_cap": args.count_cap, "dim_cap": args.dim_cap, "length_cap": args.length_cap}
+            key = cache_key(self.algebra.source_text or self.algebra.content_hash(), caps)
+            cache = ARCache(args.cache_dir, not args.no_cache)
+            self._ar = cache.load(key, self.algebra)
+            if self._ar is None:
+                self._ar = enumerate_indecomposables(
+                    self.algebra, count_cap=args.count_cap, dim_cap=args.dim_cap
+                )
+                cache.store(key, self._ar)
+        return self._ar
+
+    def module(self, selector: str) -> Representation:
+        return resolve_module_sum(selector, self.algebra, self.ar)
+
+    def pair(self) -> SupportTauTiltingPair:
+        """The checked pair named by --summands (labels) and --kill (vertices)."""
+        ar = self.ar()
+        ids = []
+        for lbl in filter(None, (s.strip() for s in self.args.summands.split(","))):
+            if lbl not in ar.labels:
+                raise TautiltError(f"unknown summand label {lbl!r}")
+            ids.append(ar.labels.index(lbl))
+        kill = frozenset(int(v) for v in filter(None, (s.strip() for s in self.args.kill.split(","))))
+        pair = pair_from_ids(ar, ids, kill)
+        check_pair(pair, ar)
+        return pair
+
+    def answer(self, payload, text: str, indent: Optional[int] = 1) -> str:
+        """The payload as JSON under --format json; the text otherwise (graph
+        verbs pass DOT as their text)."""
+        if self.args.format == "json":
+            return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+        return text
+
+
+def _basis(run: Context) -> str:
+    a, q = run.algebra, run.algebra.quiver
+    payload = {"algebra": a.content_hash(), "dim": a.dim, "length_bound": a.length_bound,
+               "basis": [p.label(q) for p in a.basis]}
+    text = f"algebra {a.name or '?'}: dim {a.dim}, termination length {a.length_bound}\n"
+    text += "".join(f"  {p.label(q)}: {p.source} -> {p.target(q)} (length {p.length})\n" for p in a.basis)
+    return run.answer(payload, text)
+
+
+def _indecs(run: Context) -> str:
+    ar = run.ar()
+    text = f"{ar.count} indecomposables\n"
+    for i, label in enumerate(ar.labels):
+        marks = _marks(ar, i)
+        text += f"  {label}" + (f"  [{' '.join(marks)}]" if marks else "") + "\n"
+    return run.answer(ar.to_json(), text)
+
+
+def _ar_quiver(run: Context) -> str:
+    ar = run.ar()
+    return run.answer(ar.to_json(), ar_quiver_dot(ar))
+
+
+def _tau(run: Context) -> str:
+    m = run.module(run.args.module)
+    t = tau_minus(m) if run.args.inverse else tau(m)
+    label = t.dim_label()
+    if not t.is_zero():
+        try:
+            ar = run.ar()
+            idx = ar.index_of(t)
+            if idx is not None:
+                label = ar.labels[idx]
+        except TautiltError:
+            pass
+    payload = rep_to_json(t)
+    payload["label"] = label
+    return run.answer(payload, label + "\n")
+
+
+def _hom(run: Context) -> str:
+    d = hom_dim(run.module(run.args.src), run.module(run.args.dst))
+    return run.answer({"dim_hom": d}, f"dim Hom = {d}\n", indent=None)
+
+
+def _ext(run: Context) -> str:
+    d = ext1(run.module(run.args.src), run.module(run.args.dst)).dim
+    return run.answer({"dim_ext1": d}, f"dim Ext^1 = {d}\n", indent=None)
+
+
+def _grigid(run: Context) -> str:
+    m = run.module(run.args.module)
+    parts = [p for p, _ in decompose(m).factors] if not m.is_zero() else []
+    gs = [g_vector(p) for p in parts]
+    rigid = is_tau_rigid(m)
+    rank = Matrix.from_rows([[Fraction(x) for x in g] for g in gs],
+                            cols=run.algebra.vertex_count).rank() if gs else 0
+    independent = rank == len(gs)
+    payload = {
+        "tau_rigid": rigid,
+        "summands": [p.dim_label() for p in parts],
+        "g_vectors": [list(g) for g in gs],
+        "g_vectors_independent": independent,
+    }
+    text = f"tau-rigid: {rigid}\n"
+    text += "".join(f"  g({p.dim_label()}) = {list(g)}\n" for p, g in zip(parts, gs))
+    text += f"g-vectors linearly independent: {independent}\n"
+    return run.answer(payload, text)
+
+
+def _tilt_check(run: Context) -> str:
+    res = tilting_checks(run.module(run.args.module))
+    payload = {"partial_tilting": res.partial_tilting, "tilting": res.tilting,
+               "summands": res.summands}
+    return run.answer(payload, f"partial tilting: {res.partial_tilting}\ntilting: {res.tilting}\n",
+                      indent=None)
+
+
+def _bongartz(run: Context) -> str:
+    m = run.module(run.args.module)
+    if run.args.kind == "tilting":
+        labels = sorted(p.dim_label() for p, _ in decompose(bongartz_tilting(m)).factors)
+    else:
+        labels = bongartz_tau(m, run.ar()).labels()
+    return run.answer({"completion": labels}, "completion: " + " + ".join(labels) + "\n", indent=None)
+
+
+def _statt_check(run: Context) -> str:
+    m = run.module(run.args.module)
+    ok = support_tau_tilting_check(m)
+    payload = {"support_tau_tilting": ok}
+    text = f"support tau-tilting: {ok}\n"
+    if ok:
+        payload["pair"] = complete_pair(m, run.ar()).label(run.ar())
+        text += f"pair: {payload['pair']}\n"
+    return run.answer(payload, text, indent=None)
+
+
+def _mutate(run: Context) -> str:
+    ar, at = run.ar(), run.args.at
+    pair = run.pair()
+    if at.startswith("P(") and at.endswith(")"):
+        move = ("vertex", int(at[2:-1]))
+    else:
+        move = ("module", ar.labels.index(at))
+    res = mutate(pair, ar, move)
+    payload = {
+        "pair": res.pair.label(ar),
+        "direction": res.direction,
+        "removed": res.removed,
+        "added": res.added,
+    }
+    return run.answer(payload, f"{res.direction} mutation -> {payload['pair']}\n", indent=None)
+
+
+def _hasse(run: Context) -> str:
+    hq = hasse(run.algebra, vertex_cap=run.args.vertex_cap, ar=run.ar())
+    return run.answer(hq.to_json(), hasse_dot(hq))
+
+
+def _torsion_oracle(run: Context) -> str:
+    rows = [(c.labels(), perp_right(c).labels())
+            for c in enumerate_torsion_classes_oracle(run.ar())]
+    payload = {"classes": [{"torsion": t, "torsion_free": f} for t, f in rows],
+               "count": len(rows)}
+    width = max((len(" + ".join(t)) for t, _ in rows), default=1)
+    text = f"{len(rows)} torsion classes\n"
+    for t, f in rows:
+        text += f"  {(' + '.join(t) or '0').ljust(width + 3)}| {' + '.join(f) or '0'}\n"
+    return run.answer(payload, text)
+
+
+def _dagger(run: Context) -> str:
+    d = dagger(run.pair())
+    payload = {
+        "summands": sorted(x.dim_label() for x in d.summands),
+        "kill": sorted(d.kill),
+        "algebra": "opposite",
+    }
+    return run.answer(payload, f"dagger pair over opposite: {d.label()}\n", indent=None)
+
+
+def _bricks(run: Context) -> str:
+    ar = run.ar()
+    rows = [(ar.labels[i], r.is_brick, r.fbrick_image.dim_label()) for i, r in enumerate(bricks(ar))]
+    payload = [{"module": x, "is_brick": b, "fbrick": f} for x, b, f in rows]
+    return run.answer(payload, "".join(f"  {x}: brick={b} fbrick->{f}\n" for x, b, f in rows))
+
+
+def _probe(run: Context) -> str:
+    res = finiteness_probe(run.algebra, vertex_cap=run.args.vertex_cap, dim_cap=run.args.dim_cap)
+    payload = {
+        "tau_tilting_finite": res.tau_tilting_finite,
+        "count": res.count,
+        "evidence": res.evidence,
+        "oracle_agrees": res.oracle_agrees,
+    }
+    verdict = {True: "finite", False: "infinite", None: "unknown"}[res.tau_tilting_finite]
+    text = f"tau-tilting finite: {verdict}\n"
+    if res.count is not None:
+        text += f"support tau-tilting pairs: {res.count}\n"
+    return run.answer(payload, text + f"evidence: {res.evidence}\n")
+
+
+class Verb(NamedTuple):
+    help: str
+    options: Tuple[Tuple[str, dict], ...]   # (flag, add_argument keywords), after the algebra path
+    handler: Callable[[Context], str]
+
+
+MODULE = (("--module", {"required": True}),)
+FROM_TO = (("--from", {"dest": "src", "required": True}), ("--to", {"dest": "dst", "required": True}))
+
+# each verb once, in --help order
+VERBS: Dict[str, Verb] = {
+    "basis": Verb("residue-path basis and dimension", (), _basis),
+    "indecs": Verb("enumerate the indecomposables", (), _indecs),
+    "ar-quiver": Verb("AR quiver with tau links and meshes", (), _ar_quiver),
+    "tau": Verb("AR translate of a module", MODULE + (
+        ("--inverse", {"action": "store_true", "help": "compute tau^- instead"}),), _tau),
+    "hom": Verb("dim Hom between two modules", FROM_TO, _hom),
+    "ext": Verb("dim Ext^1 between two modules", FROM_TO, _ext),
+    "grigid": Verb("g-vectors of the summands plus tau-rigidity", MODULE, _grigid),
+    "tilt-check": Verb("partial tilting / tilting test", MODULE, _tilt_check),
+    "bongartz": Verb("Bongartz completion", MODULE + (
+        ("--kind", {"choices": ["tau", "tilting"], "default": "tau"}),), _bongartz),
+    "statt-check": Verb("support tau-tilting test and pair completion", MODULE, _statt_check),
+    "mutate": Verb("mutate a support tau-tilting pair", (
+        ("--summands", {"default": "", "help": "comma-separated labels"}),
+        ("--kill", {"default": "", "help": "comma-separated killed vertices"}),
+        ("--at", {"required": True, "help": "summand label or P(v) for a killed vertex"})), _mutate),
+    "hasse": Verb("Hasse quiver of support tau-tilting pairs", (), _hasse),
+    "torsion-oracle": Verb("all torsion classes by brute force", (), _torsion_oracle),
+    "dagger": Verb("the dagger of a pair, over the opposite algebra",
+                   (("--summands", {"default": ""}), ("--kill", {"default": ""})), _dagger),
+    "bricks": Verb("bricks and the brick map X -> X/rad_End X", (), _bricks),
+    "probe": Verb("tau-tilting finiteness probe", (), _probe),
+}
 
 
 # --------------------------------------------------------------------------
@@ -299,51 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common, suppress=True)
 
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, **kwargs):
-        sp = sub.add_parser(name, parents=[common], **kwargs)
+    for name, verb in VERBS.items():
+        sp = sub.add_parser(name, parents=[common], help=verb.help)
         sp.add_argument("algebra", help="path to a .alg file")
-        return sp
-
-    verb("basis", help="residue-path basis and dimension")
-    verb("indecs", help="enumerate the indecomposables")
-    verb("ar-quiver", help="AR quiver with tau links and meshes")
-    sp = verb("tau", help="AR translate of a module")
-    sp.add_argument("--module", required=True)
-    sp.add_argument("--inverse", action="store_true", help="compute tau^- instead")
-    sp = verb("hom", help="dim Hom between two modules")
-    sp.add_argument("--from", dest="src", required=True)
-    sp.add_argument("--to", dest="dst", required=True)
-    sp = verb("ext", help="dim Ext^1 between two modules")
-    sp.add_argument("--from", dest="src", required=True)
-    sp.add_argument("--to", dest="dst", required=True)
-    sp = verb("grigid", help="g-vectors of the summands plus tau-rigidity")
-    sp.add_argument("--module", required=True)
-    sp = verb("tilt-check", help="partial tilting / tilting test")
-    sp.add_argument("--module", required=True)
-    sp = verb("bongartz", help="Bongartz completion")
-    sp.add_argument("--module", required=True)
-    sp.add_argument("--kind", choices=["tau", "tilting"], default="tau")
-    sp = verb("statt-check", help="support tau-tilting test and pair completion")
-    sp.add_argument("--module", required=True)
-    sp = verb("mutate", help="mutate a support tau-tilting pair")
-    sp.add_argument("--summands", default="", help="comma-separated labels")
-    sp.add_argument("--kill", default="", help="comma-separated killed vertices")
-    sp.add_argument("--at", required=True, help="summand label or P(v) for a killed vertex")
-    verb("hasse", help="Hasse quiver of support tau-tilting pairs")
-    verb("torsion-oracle", help="all torsion classes by brute force")
-    sp = verb("dagger", help="the dagger of a pair, over the opposite algebra")
-    sp.add_argument("--summands", default="")
-    sp.add_argument("--kill", default="")
-    verb("bricks", help="bricks and the brick map X -> X/rad_End X")
-    verb("probe", help="tau-tilting finiteness probe")
+        for flag, options in verb.options:
+            sp.add_argument(flag, **options)
     return p
-
-
-def load_algebra_file(path: str, cap: int) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return algebra_from_source(text, cap=cap)
 
 
 def run(argv: Sequence[str]) -> int:
@@ -376,270 +590,8 @@ def _origin_module(exc: BaseException) -> str:
 
 
 def _dispatch(args) -> int:
-    algebra = load_algebra_file(args.algebra, args.length_cap)
-    caps = {"count_cap": args.count_cap, "dim_cap": args.dim_cap, "length_cap": args.length_cap}
-    cache = ARCache(args.cache_dir, not args.no_cache)
-
-    ar_box: List[Optional[ARQuiverData]] = [None]
-
-    def get_ar() -> ARQuiverData:
-        if ar_box[0] is None:
-            key = cache_key(algebra.source_text or algebra.content_hash(), caps)
-            cached = cache.load(key, algebra)
-            if cached is not None:
-                ar_box[0] = cached
-            else:
-                ar_box[0] = enumerate_indecomposables(
-                    algebra, count_cap=args.count_cap, dim_cap=args.dim_cap
-                )
-                cache.store(key, ar_box[0])
-        return ar_box[0]
-
-    def module_of(sel: str) -> Representation:
-        return resolve_module_sum(sel, algebra, get_ar)
-
-    out = sys.stdout
-    verb = args.verb
-
-    if verb == "basis":
-        if args.format == "json":
-            payload = {
-                "algebra": algebra.content_hash(),
-                "dim": algebra.dim,
-                "length_bound": algebra.length_bound,
-                "basis": [p.label(algebra.quiver) for p in algebra.basis],
-            }
-            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        else:
-            out.write(f"algebra {algebra.name or '?'}: dim {algebra.dim}, "
-                      f"termination length {algebra.length_bound}\n")
-            for p in algebra.basis:
-                q = algebra.quiver
-                out.write(f"  {p.label(q)}: {p.source} -> {p.target(q)} (length {p.length})\n")
-        return 0
-
-    if verb == "indecs":
-        ar = get_ar()
-        if args.format == "json":
-            out.write(json.dumps(ar.to_json(), sort_keys=True, indent=1) + "\n")
-        else:
-            out.write(f"{ar.count} indecomposables\n")
-            for i, x in enumerate(ar.indecomposables):
-                marks = []
-                if i in ar.projective_vertex:
-                    marks.append(f"P({ar.projective_vertex[i]})")
-                if i in ar.injective_vertex:
-                    marks.append(f"I({ar.injective_vertex[i]})")
-                out.write(f"  {ar.labels[i]}" + (f"  [{' '.join(marks)}]" if marks else "") + "\n")
-        return 0
-
-    if verb == "ar-quiver":
-        ar = get_ar()
-        fmt = args.format if args.format != "table" else "dot"
-        out.write(emit_graph(ar, fmt))
-        return 0
-
-    if verb == "tau":
-        m = module_of(args.module)
-        t = tau_minus(m) if args.inverse else tau(m)
-        _print_module(out, t, algebra, get_ar, args.format)
-        return 0
-
-    if verb == "hom":
-        src, dst = module_of(args.src), module_of(args.dst)
-        d = hom_dim(src, dst)
-        out.write(json.dumps({"dim_hom": d}) + "\n" if args.format == "json" else f"dim Hom = {d}\n")
-        return 0
-
-    if verb == "ext":
-        src, dst = module_of(args.src), module_of(args.dst)
-        d = ext1(src, dst).dim
-        out.write(json.dumps({"dim_ext1": d}) + "\n" if args.format == "json" else f"dim Ext^1 = {d}\n")
-        return 0
-
-    if verb == "grigid":
-        m = module_of(args.module)
-        parts = [p for p, _ in decompose(m).factors] if not m.is_zero() else []
-        gs = [g_vector(p) for p in parts]
-        rigid = is_tau_rigid(m)
-        rank = Matrix.from_rows([[Fraction(x) for x in g] for g in gs],
-                                cols=algebra.vertex_count).rank() if gs else 0
-        independent = rank == len(gs)
-        payload = {
-            "tau_rigid": rigid,
-            "summands": [p.dim_label() for p in parts],
-            "g_vectors": [list(g) for g in gs],
-            "g_vectors_independent": independent,
-        }
-        if args.format == "json":
-            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        else:
-            out.write(f"tau-rigid: {rigid}\n")
-            for p, g in zip(parts, gs):
-                out.write(f"  g({p.dim_label()}) = {list(g)}\n")
-            out.write(f"g-vectors linearly independent: {independent}\n")
-        return 0
-
-    if verb == "tilt-check":
-        res = tilting_checks(module_of(args.module))
-        payload = {"partial_tilting": res.partial_tilting, "tilting": res.tilting,
-                   "summands": res.summands}
-        out.write(json.dumps(payload, sort_keys=True) + "\n" if args.format == "json"
-                  else f"partial tilting: {res.partial_tilting}\ntilting: {res.tilting}\n")
-        return 0
-
-    if verb == "bongartz":
-        m = module_of(args.module)
-        if args.kind == "tilting":
-            t = bongartz_tilting(m)
-            labels = sorted(p.dim_label() for p, _ in decompose(t).factors)
-        else:
-            result = bongartz_tau(m, get_ar())
-            labels = result.labels()
-        if args.format == "json":
-            out.write(json.dumps({"completion": labels}, sort_keys=True) + "\n")
-        else:
-            out.write("completion: " + " + ".join(labels) + "\n")
-        return 0
-
-    if verb == "statt-check":
-        m = module_of(args.module)
-        ok = support_tau_tilting_check(m)
-        if ok:
-            pair = complete_pair(m, get_ar())
-            payload = {"support_tau_tilting": True, "pair": pair.label(get_ar())}
-        else:
-            payload = {"support_tau_tilting": False}
-        out.write(json.dumps(payload, sort_keys=True) + "\n" if args.format == "json"
-                  else (f"support tau-tilting: {ok}\n"
-                        + (f"pair: {payload['pair']}\n" if ok else "")))
-        return 0
-
-    if verb == "mutate":
-        ar = get_ar()
-        pair = _pair_from_args(ar, args.summands, args.kill)
-        if args.at.startswith("P(") and args.at.endswith(")"):
-            move = ("vertex", int(args.at[2:-1]))
-        else:
-            move = ("module", ar.labels.index(args.at))
-        res = mutate(pair, ar, move)
-        payload = {
-            "pair": res.pair.label(ar),
-            "direction": res.direction,
-            "removed": res.removed,
-            "added": res.added,
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n" if args.format == "json"
-                  else f"{res.direction} mutation -> {res.pair.label(ar)}\n")
-        return 0
-
-    if verb == "hasse":
-        hq = hasse(algebra, vertex_cap=args.vertex_cap, ar=get_ar())
-        fmt = args.format if args.format != "table" else "dot"
-        out.write(emit_graph(hq, fmt))
-        return 0
-
-    if verb == "torsion-oracle":
-        ar = get_ar()
-        classes = enumerate_torsion_classes_oracle(ar)
-        if args.format == "json":
-            payload = {
-                "classes": [
-                    {
-                        "torsion": c.labels(),
-                        "torsion_free": perp_right(c).labels(),
-                    }
-                    for c in classes
-                ],
-                "count": len(classes),
-            }
-            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        else:
-            out.write(f"{len(classes)} torsion classes\n")
-            width = max((len(" + ".join(c.labels())) for c in classes), default=1)
-            for c in classes:
-                t = " + ".join(c.labels()) or "0"
-                f = " + ".join(perp_right(c).labels()) or "0"
-                out.write(f"  {t.ljust(width + 3)}| {f}\n")
-        return 0
-
-    if verb == "dagger":
-        ar = get_ar()
-        pair = _pair_from_args(ar, args.summands, args.kill)
-        d = dagger(pair)
-        payload = {
-            "summands": sorted(x.dim_label() for x in d.summands),
-            "kill": sorted(d.kill),
-            "algebra": "opposite",
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n" if args.format == "json"
-                  else f"dagger pair over opposite: {d.label()}\n")
-        return 0
-
-    if verb == "bricks":
-        ar = get_ar()
-        records = bricks(ar)
-        if args.format == "json":
-            payload = [
-                {"module": ar.labels[i], "is_brick": r.is_brick,
-                 "fbrick": r.fbrick_image.dim_label()}
-                for i, r in enumerate(records)
-            ]
-            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        else:
-            for i, r in enumerate(records):
-                out.write(f"  {ar.labels[i]}: brick={r.is_brick} fbrick->{r.fbrick_image.dim_label()}\n")
-        return 0
-
-    if verb == "probe":
-        res = finiteness_probe(algebra, vertex_cap=args.vertex_cap, dim_cap=args.dim_cap)
-        payload = {
-            "tau_tilting_finite": res.tau_tilting_finite,
-            "count": res.count,
-            "evidence": res.evidence,
-            "oracle_agrees": res.oracle_agrees,
-        }
-        if args.format == "json":
-            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        else:
-            verdict = {True: "finite", False: "infinite", None: "unknown"}[res.tau_tilting_finite]
-            out.write(f"tau-tilting finite: {verdict}\n")
-            if res.count is not None:
-                out.write(f"support tau-tilting pairs: {res.count}\n")
-            out.write(f"evidence: {res.evidence}\n")
-        return 0
-
-    raise TautiltError(f"unhandled verb {verb}")
-
-
-def _print_module(out, m: Representation, algebra: Algebra, get_ar, fmt: str) -> None:
-    label = None
-    if not m.is_zero():
-        try:
-            ar = get_ar()
-            idx = ar.index_of(m)
-            if idx is not None:
-                label = ar.labels[idx]
-        except TautiltError:
-            label = None
-    if fmt == "json":
-        payload = rep_to_json(m)
-        payload["label"] = label or m.dim_label()
-        out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    else:
-        out.write((label or m.dim_label()) + "\n")
-
-
-def _pair_from_args(ar: ARQuiverData, summands: str, kill: str) -> SupportTauTiltingPair:
-    ids = []
-    for lbl in filter(None, (s.strip() for s in summands.split(","))):
-        if lbl not in ar.labels:
-            raise TautiltError(f"unknown summand label {lbl!r}")
-        ids.append(ar.labels.index(lbl))
-    kill_set = frozenset(int(v) for v in filter(None, (s.strip() for s in kill.split(","))))
-    pair = pair_from_ids(ar, ids, kill_set)
-    check_pair(pair, ar)
-    return pair
+    sys.stdout.write(VERBS[args.verb].handler(Context(args)))
+    return 0
 
 
 def main() -> None:

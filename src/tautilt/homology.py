@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Path
 from .errors import CapExceededError, ContractViolation, NotCertifiableError
-from .linalg import ONE, ZERO, Matrix, Subspace, rref_rank, subspace_complement
+from .linalg import (ONE, ZERO, Matrix, Subspace, kernel_basis, rref_rank, solve_linear,
+                     subspace_complement)
 from .rep import (
     Morphism,
     Representation,
@@ -28,8 +29,10 @@ from .rep import (
     image_subrep,
     is_isomorphic,
     kernel_subrep,
+    morphism_from_flat,
     quotient_rep,
     radical_subrep,
+    rep_to_json,
     restrict_through_inclusion,
     socle_subrep,
     zero_morphism,
@@ -396,10 +399,8 @@ class ExtSpace:
         flat = list(theta.flat())
         stack = [list(r) for r in self._rep_rows]
         w_rows = [list(self._w_space.basis.row(i)) for i in range(self._w_space.dim)]
-        from .linalg import solve_linear as _solve
-
         mat = Matrix.from_rows(stack + w_rows, cols=self._flat_len).transpose()
-        sol, _ = _solve(mat, Matrix.from_rows([[x] for x in flat], cols=1))
+        sol, _ = solve_linear(mat, Matrix.from_rows([[x] for x in flat], cols=1))
         if sol is None:
             raise ContractViolation("internal: class outside Hom space")
         return tuple(sol[i, 0] for i in range(self.dim))
@@ -409,8 +410,6 @@ class ExtSpace:
         for c, row in zip(coords, self._rep_rows):
             if c:
                 flat = [x + c * y for x, y in zip(flat, row)]
-        from .rep import morphism_from_flat
-
         theta = morphism_from_flat(self.presentation.syzygy, self.n, flat)
         return ExtClass(self.m, self.n, theta, self.presentation)
 
@@ -442,8 +441,6 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
         v_space = Subspace.from_rows(flat_len, [list(b.flat()) for b in v_basis])
         comp = subspace_complement(w_space, v_space)
         rep_rows = [comp.basis.row(i) for i in range(comp.dim)]
-        from .rep import morphism_from_flat
-
         classes = [ExtClass(m, n, morphism_from_flat(omega, n, row), pres) for row in rep_rows]
         space = ExtSpace(m, n, comp.dim, classes, pres, flat_len, w_space, rep_rows)
 
@@ -471,9 +468,7 @@ def _combination_coefficients(composed: List[Morphism], target_flat: List[Fracti
         return [] if not any(target_flat) else None
     cols = [list(h.flat()) for h in composed]
     mat = Matrix.from_rows(cols, cols=len(target_flat)).transpose()
-    from .linalg import solve_linear as _solve
-
-    sol, _ = _solve(mat, Matrix.from_rows([[x] for x in target_flat], cols=1))
+    sol, _ = solve_linear(mat, Matrix.from_rows([[x] for x in target_flat], cols=1))
     if sol is None:
         return None
     return [sol[k, 0] for k in range(len(composed))]
@@ -512,9 +507,7 @@ def realize_extension(c: ExtClass) -> Tuple[Representation, Morphism, Morphism]:
     g = pres.eps @ ds.projections[1]
     proj_maps = []
     for v in range(n.algebra.vertex_count):
-        from .linalg import solve_linear as _solve
-
-        sol, _ = _solve(pi.maps[v].transpose(), g.maps[v].transpose())
+        sol, _ = solve_linear(pi.maps[v].transpose(), g.maps[v].transpose())
         if sol is None:
             raise ContractViolation("internal: extension projection failed")
         proj_maps.append(sol.transpose())
@@ -583,9 +576,8 @@ def ar_sequence(m: Representation) -> ARSequence:
     space = ext1(m, tm)
     if space.dim == 0:
         raise ContractViolation("internal: Ext^1(m, tau m) = 0 for non-projective m")
-    endo = hom_basis(m, m)
-    rad = end_radical(m, endo)
-    if len(endo) - len(rad) != 1:
+    rad = end_radical(m)
+    if hom_dim(m, m) - len(rad) != 1:
         raise NotCertifiableError("cannot certify almost split sequence: End not split local")
     if not rad:
         socle_dim = space.dim
@@ -596,9 +588,7 @@ def ar_sequence(m: Representation) -> ARSequence:
             act = _end_action_on_ext(space, psi)
             for r in range(act.rows):
                 rows.append(list(act.row(r)))
-        from .linalg import kernel_basis as _kernel
-
-        ker = _kernel(Matrix.from_rows(rows, cols=space.dim))
+        ker = kernel_basis(Matrix.from_rows(rows, cols=space.dim))
         socle_dim = ker.dim
         coords = tuple(ker.basis.row(0)) if ker.dim else ()
     if socle_dim != 1:
@@ -798,8 +788,6 @@ class ARQuiverData:
         return out
 
     def to_json(self) -> dict:
-        from .rep import rep_to_json
-
         return {
             "algebra": self.algebra.content_hash(),
             "indecomposables": [

@@ -522,21 +522,14 @@ def _trace_of_product(a: Morphism, b: Morphism) -> Fraction:
     return total
 
 
-def end_radical(m: Representation, end_basis: Optional[List[Morphism]] = None) -> List[Morphism]:
-    """Radical of End(m) via the trace form (Dickson; valid in char 0).
-
-    Without end_basis, or given the canonical `hom_basis(m, m)` itself, the
-    radical is memoized per algebra by m.key(); its elements are then
-    combinations of that canonical basis.  Any other basis is used as given
-    and nothing is stored."""
-    key = m.key()
-    if end_basis is None:
-        end_basis = hom_basis(m, m)
-    elif end_basis is not m.algebra.memo("hom_basis").get((key, key)):
-        return _trace_form_radical(m, end_basis)
+def end_radical(m: Representation) -> List[Morphism]:
+    """Radical of End(m) via the trace form (Dickson; valid in char 0),
+    memoized per algebra by m.key(); its elements are combinations of the
+    canonical basis `hom_basis(m, m)`."""
     memo = m.algebra.memo("end_radical")
+    key = m.key()
     if key not in memo:
-        memo[key] = _trace_form_radical(m, end_basis)
+        memo[key] = _trace_form_radical(m, hom_basis(m, m))
     return memo[key]
 
 
@@ -854,7 +847,7 @@ def decompose(m: Representation) -> DecompositionResult:
     def split(x: Representation) -> Morphism:
         """Returns an iso x -> (direct sum of newly appended parts)."""
         basis = hom_basis(x, x)
-        rad = end_radical(x, basis)
+        rad = end_radical(x)
         if len(basis) - len(rad) == 1:
             parts.append(x)
             return identity_morphism(x)
@@ -912,8 +905,7 @@ def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
     bwd = hom_basis(q, p)
     if not fwd or not bwd:
         return None
-    end_basis = hom_basis(p, p)
-    rad = end_radical(p, end_basis)
+    rad = end_radical(p)
     rad_space = Subspace.from_rows(
         len(identity_morphism(p).flat()), [list(r.flat()) for r in rad]
     ) if rad else None

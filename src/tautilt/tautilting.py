@@ -33,10 +33,11 @@ from .homology import (
     tau,
     transpose,
 )
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
 from .rep import (
     Morphism,
     Representation,
+    SubRep,
     cokernel,
     decompose,
     direct_sum,
@@ -208,9 +209,6 @@ def torsion_theory_of(cls: ModuleClass, x: Representation):
         raise DomainError(f"not a torsion class (witness indecomposable {witness})")
     gens = cls.reps()
     if not gens:
-        from .rep import SubRep
-        from .linalg import Subspace
-
         tx = SubRep(x, [Subspace.zero(d) for d in x.dims], check=False)
     else:
         tx = trace_subrep(gens, x)
@@ -223,14 +221,9 @@ def torsion_theory_of(cls: ModuleClass, x: Representation):
 # --------------------------------------------------------------------------
 
 
-def is_tau_rigid(t: Representation, kill: Optional[Set[int]] = None) -> bool:
-    """Hom(T, tau T) = 0; the pair form additionally needs Hom(P, T) = 0,
-    i.e. T vanishing on the killed vertices."""
-    if not t.is_zero() and hom_dim(t, tau(t)) != 0:
-        return False
-    if kill:
-        return all(t.dims[v - 1] == 0 for v in kill)
-    return True
+def is_tau_rigid(t: Representation) -> bool:
+    """Hom(T, tau T) = 0."""
+    return t.is_zero() or hom_dim(t, tau(t)) == 0
 
 
 def is_tau_rigid_indexed(ids: Sequence[int], ar: ARQuiverData) -> bool:

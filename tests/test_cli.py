@@ -1,11 +1,12 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from tautilt.cli import load_algebra_file, run
+from tautilt.cli import VERBS, load_algebra_file, run
 from tautilt.errors import CapExceededError
 from tautilt.homology import enumerate_indecomposables
 
@@ -310,3 +311,9 @@ def test_seed_option_is_gone(capsys):
     code, _, err = invoke(capsys, "--seed", "0", "hasse", alg("a2"))
     assert code == 2
     assert "--seed" not in err   # not among the options the usage lists
+
+
+def test_readme_lists_the_verbs_of_the_verb_table():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    line = re.search(r"^Verbs: (.*?)\.$", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", line) == list(VERBS)
