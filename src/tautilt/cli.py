@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import DEFAULT_LENGTH_CAP, Algebra, algebra_from_source
@@ -298,13 +298,9 @@ class Context:
     def pair(self) -> SupportTauTiltingPair:
         """The checked pair named by --summands (labels) and --kill (vertices)."""
         ar = self.ar()
-        ids = []
-        for lbl in filter(None, (s.strip() for s in self.args.summands.split(","))):
-            if lbl not in ar.labels:
-                raise TautiltError(f"unknown summand label {lbl!r}")
-            ids.append(ar.labels.index(lbl))
-        kill = frozenset(int(v) for v in filter(None, (s.strip() for s in self.args.kill.split(","))))
-        pair = pair_from_ids(ar, ids, kill)
+        ids = [_label_index(ar, lbl)
+               for lbl in filter(None, (s.strip() for s in self.args.summands.split(",")))]
+        pair = pair_from_ids(ar, ids, self.args.kill)
         check_pair(pair, ar)
         return pair
 
@@ -414,13 +410,27 @@ def _statt_check(run: Context) -> str:
     return run.answer(payload, text, indent=None)
 
 
+def _label_index(ar, label: str) -> int:
+    if label not in ar.labels:
+        raise TautiltError(f"unknown summand label {label!r}")
+    return ar.labels.index(label)
+
+
+def _vertex_set(text: str) -> FrozenSet[int]:
+    """The --kill argument: comma-separated vertex numbers."""
+    try:
+        return frozenset(int(v) for v in filter(None, (s.strip() for s in text.split(","))))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of vertices: {text!r}")
+
+
 def _mutate(run: Context) -> str:
     ar, at = run.ar(), run.args.at
     pair = run.pair()
-    if at.startswith("P(") and at.endswith(")"):
+    if at.startswith("P(") and at.endswith(")") and at[2:-1].isdigit():
         move = ("vertex", int(at[2:-1]))
     else:
-        move = ("module", ar.labels.index(at))
+        move = ("module", _label_index(ar, at))
     res = mutate(pair, ar, move)
     payload = {
         "pair": res.pair.label(ar),
@@ -505,12 +515,13 @@ VERBS: Dict[str, Verb] = {
     "statt-check": Verb("support tau-tilting test and pair completion", MODULE, _statt_check),
     "mutate": Verb("mutate a support tau-tilting pair", (
         ("--summands", {"default": "", "help": "comma-separated labels"}),
-        ("--kill", {"default": "", "help": "comma-separated killed vertices"}),
+        ("--kill", {"default": "", "type": _vertex_set, "help": "comma-separated killed vertices"}),
         ("--at", {"required": True, "help": "summand label or P(v) for a killed vertex"})), _mutate),
     "hasse": Verb("Hasse quiver of support tau-tilting pairs", (), _hasse),
     "torsion-oracle": Verb("all torsion classes by brute force", (), _torsion_oracle),
     "dagger": Verb("the dagger of a pair, over the opposite algebra",
-                   (("--summands", {"default": ""}), ("--kill", {"default": ""})), _dagger),
+                   (("--summands", {"default": ""}), ("--kill", {"default": "", "type": _vertex_set})),
+                   _dagger),
     "bricks": Verb("bricks and the brick map X -> X/rad_End X", (), _bricks),
     "probe": Verb("tau-tilting finiteness probe", (), _probe),
 }

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Path, VertexQuotient
@@ -642,19 +643,6 @@ def _poly_exact_div(num: Sequence[Fraction], den: Sequence[Fraction]) -> List[Fr
     return q
 
 
-def _poly_xgcd(a: List[Fraction], b: List[Fraction]):
-    """Extended gcd of rational polynomials: (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _poly_norm(a), _poly_norm(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
 def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     """Monic gcd, by Euclid without the Bezout cofactors."""
     a, b = _poly_norm(a), _poly_norm(b)
@@ -733,7 +721,7 @@ def _factor_poly(coeffs: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
     root-free block of degree <= 3 is irreducible, so the output is the
     factorization into irreducibles unless a block has degree >= 4; such a
     block may still be reducible, but it is coprime to every other block,
-    which is all a splitting idempotent needs."""
+    which is all a Fitting split (`_fitting_split`) needs."""
     f = _poly_norm([Fraction(c) for c in coeffs])
     if len(f) == 1:
         return []
@@ -754,6 +742,7 @@ class DecompositionResult:
 
     rep: Representation
     parts: List[Representation]          # flat, discovery order
+    inclusions: List[Morphism]           # parts[k] -> rep, injective
     splitting: Morphism                  # rep -> direct sum of parts
     factors: List[Tuple[Representation, int]]  # grouped up to isomorphism
 
@@ -787,48 +776,35 @@ def _splitting_candidates(end_basis: List[Morphism], rad: List[Morphism]) -> Ite
             yield acc
 
 
-def _find_splitting_idempotent(m: Representation, end_basis: List[Morphism],
-                               rad: List[Morphism]) -> Optional[Morphism]:
-    """A nontrivial idempotent endomorphism of m, or None if no candidate
-    split (then End/rad is likely a division algebra).
+def _fitting_split(end_basis: List[Morphism], rad: List[Morphism]) -> Optional[Tuple[SubRep, SubRep]]:
+    """Two nonzero submodules of the module m whose End has the basis
+    end_basis, with m their direct sum; None if no candidate splits m (then
+    End/rad is likely a division algebra).
 
     For a candidate x, _factor_poly splits the minimal polynomial mu of x
-    exactly over Q into pairwise coprime blocks; with f the first block to
-    its multiplicity and g = mu/f, Bezout a*f + b*g = 1 makes (b*g)(x) the
-    projection onto ker f(x) along ker g(x).  A candidate whose mu is one
-    block is skipped."""
+    exactly over Q into pairwise coprime blocks; a candidate whose mu is one
+    block is skipped.  With f the first block to its multiplicity and
+    g = mu/f, f(x) g(x) = 0 and f, g are coprime, so m = ker f(x) + im f(x)
+    with im f(x) = ker g(x) (Fitting's lemma for the endomorphism f(x)).
+    Both are nonzero, since neither f(x) nor g(x) is 0 or invertible."""
     for x in _splitting_candidates(end_basis, rad):
-        if x.is_zero():
-            continue
-        mu = _min_poly(x)
-        factors = _factor_poly(mu)
+        factors = _factor_poly(_min_poly(x))
         if len(factors) < 2:
             continue
-        # split off the generalized eigenspace of the first factor:
-        # f = p1^e1, g = mu/f are coprime; a*f + b*g = 1; e := (b*g)(x)
-        f = factors[0][0]
-        for _ in range(factors[0][1] - 1):
-            f = _poly_mul(f, factors[0][0])
-        g = [Fraction(1)]
-        for fac, mult in factors[1:]:
-            for _ in range(mult):
-                g = _poly_mul(g, fac)
-        gcd_poly, a_co, b_co = _poly_xgcd(f, g)
-        scale = gcd_poly[-1]
-        b_co = [c / scale for c in b_co]
-        e = _poly_of_endo(_poly_mul(b_co, g), x)
-        # Newton lifting e <- 3e^2 - 2e^3 until exactly idempotent
-        for _ in range(48):
-            e2 = e @ e
-            if e2.flat() == e.flat():
-                break
-            e = (e2.scale(3)) - (e2 @ e).scale(2)
-        else:
-            continue
-        if e.is_zero() or (e - identity_morphism(m)).is_zero():
-            continue
-        return e
+        block, mult = factors[0]
+        fx = _poly_of_endo(reduce(_poly_mul, [block] * mult), x)
+        return kernel_subrep(fx), image_subrep(fx)
     return None
+
+
+def _join(source: Representation, maps: Sequence[Morphism]) -> Morphism:
+    """The morphism from the direct sum `source` of the maps' sources that
+    is maps[k] on the k-th summand."""
+    target = maps[0].target
+    return Morphism(source, target, [
+        Matrix.from_blocks([d], [f.source.dims[v] for f in maps],
+                           {(0, k): f.maps[v] for k, f in enumerate(maps)})
+        for v, d in enumerate(target.dims)], verify=False)
 
 
 def decompose(m: Representation) -> DecompositionResult:
@@ -837,57 +813,50 @@ def decompose(m: Representation) -> DecompositionResult:
     End(m) is computed exactly; its radical comes from the trace form; a
     factor is accepted as indecomposable only when dim End/rad = 1, i.e. it is
     absolutely indecomposable.  A residue division algebra of dimension > 1
-    raises NotCertifiableError instead of guessing.
+    raises NotCertifiableError instead of guessing.  Other modules are split
+    into Fitting summands (`_fitting_split`) recursively, each part recorded
+    with its inclusion into m; the joined inclusions are certified
+    invertible once, and `splitting` is their inverse.
     """
     if m.is_zero():
-        return DecompositionResult(m, [], identity_morphism(m), [])
+        return DecompositionResult(m, [], [], identity_morphism(m), [])
 
     parts: List[Representation] = []
+    inclusions: List[Morphism] = []
 
-    def split(x: Representation) -> Morphism:
-        """Returns an iso x -> (direct sum of newly appended parts)."""
+    def split(x: Representation, incl: Morphism) -> None:
+        """Append the indecomposable parts of x with their inclusions into
+        m, given the inclusion incl: x -> m."""
         basis = hom_basis(x, x)
         rad = end_radical(x)
         if len(basis) - len(rad) == 1:
             parts.append(x)
-            return identity_morphism(x)
-        e = _find_splitting_idempotent(x, basis, rad)
-        if e is None:
+            inclusions.append(incl)
+            return
+        halves = _fitting_split(basis, rad)
+        if halves is None:
             raise NotCertifiableError(
                 "non-split endomorphism ring: residue division algebra of dim > 1 over Q"
             )
-        img, incl_img = image_subrep(e).to_rep()
-        ker, incl_ker = kernel_subrep(e).to_rep()
-        iso1 = split(img)
-        iso2 = split(ker)
-        # change of basis x = img + ker
-        stack = [incl_img.maps[v].hstack(incl_ker.maps[v]) for v in range(x.algebra.vertex_count)]
-        to_pair = Morphism(x, direct_sum(x.algebra, [img, ker]).total,
-                           [solve_linear(s, Matrix.identity(s.rows))[0] for s in stack],
-                           verify=False)
-        block = Morphism(to_pair.target,
-                         direct_sum(x.algebra, [iso1.target, iso2.target]).total,
-                         [Matrix.block_diag([a, b]) for a, b in zip(iso1.maps, iso2.maps)],
-                         verify=False)
-        return block @ to_pair
+        for half in halves:
+            y, incl_y = half.to_rep()
+            split(y, incl @ incl_y)
 
-    iso = split(m)
-    flat_sum = direct_sum(m.algebra, parts)
-    splitting = Morphism(m, flat_sum.total, iso.maps, verify=True)
-    if not splitting.is_iso():
-        raise NotCertifiableError("internal: splitting is not invertible")
+    split(m, identity_morphism(m))
+    joined = _join(direct_sum(m.algebra, parts).total, inclusions)
+    if not joined.is_iso():
+        raise NotCertifiableError("internal: the parts' inclusions do not join to an isomorphism")
+    splitting = Morphism(m, joined.source, joined.inverse().maps, verify=True)
 
     factors: List[Tuple[Representation, int]] = []
     for p in parts:
-        placed = False
         for i, (q, mult) in enumerate(factors):
             if _indec_iso(p, q) is not None:
                 factors[i] = (q, mult + 1)
-                placed = True
                 break
-        if not placed:
+        else:
             factors.append((p, 1))
-    return DecompositionResult(m, parts, splitting, factors)
+    return DecompositionResult(m, parts, inclusions, splitting, factors)
 
 
 def _indec_iso(p: Representation, q: Representation) -> Optional[Morphism]:
@@ -931,7 +900,9 @@ def iso_test(m: Representation, n: Representation) -> Optional[Morphism]:
     When End(m) is local (dim End - dim rad End = 1) the two modules are
     compared directly by `_indec_iso`: a map it finds is checked by `is_iso`,
     and its negative answer is exact because id is not in rad End(m).
-    Otherwise both modules are decomposed and their summands matched.
+    Otherwise both modules are decomposed and their parts matched by
+    `_indec_iso`; the map is `dm.splitting` followed by each match and the
+    inclusion of the matched part of n, checked by `is_iso`.
     """
     if m.algebra is not n.algebra:
         raise ContractViolation("different algebras")
@@ -954,31 +925,17 @@ def iso_test(m: Representation, n: Representation) -> Optional[Morphism]:
     if sorted(p.dims for p in dm.parts) != sorted(p.dims for p in dn.parts):
         return None
     used = [False] * len(dn.parts)
-    matches: List[Tuple[int, Morphism]] = []
+    legs: List[Morphism] = []
     for p in dm.parts:
-        found = None
         for j, q in enumerate(dn.parts):
-            if used[j]:
-                continue
-            phi = _indec_iso(p, q)
+            phi = None if used[j] else _indec_iso(p, q)
             if phi is not None:
-                found = (j, phi)
+                used[j] = True
+                legs.append(dn.inclusions[j] @ phi)
                 break
-        if found is None:
+        else:
             return None
-        used[found[0]] = True
-        matches.append(found)
-
-    # assemble: m -> sum(parts m) -> sum(parts n) -> n
-    sum_m = direct_sum(m.algebra, dm.parts)
-    sum_n = direct_sum(n.algebra, dn.parts)
-    middle = None
-    for (j, phi), inc_col in zip(matches, sum_m.projections):
-        leg = sum_n.inclusions[j] @ phi @ inc_col
-        middle = leg if middle is None else middle + leg
-    if middle is None:
-        middle = zero_morphism(sum_m.total, sum_n.total)
-    iso = dn.splitting.inverse() @ middle @ dm.splitting
+    iso = _join(dm.splitting.target, legs) @ dm.splitting
     if not iso.is_iso():
         # every summand matched, so the assembled map must be invertible
         raise ContractViolation("internal: assembled isomorphism is not invertible")

@@ -952,8 +952,10 @@ def finiteness_probe(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     identified by their g-vector keys, each hit confirmed by `is_isomorphic`,
     and every new pair is certified by `check_pair`.  Needs no enumeration of
     indecomposables, so it runs on representation-infinite algebras and
-    reports 'unknown' when the vertex or the dimension cap is hit.  When the
-    enumeration fits the oracle, the count is cross-checked against it.
+    reports 'unknown' when the vertex or the dimension cap is hit.  The count
+    is cross-checked against the 2^n oracle when the enumeration finishes
+    within ORACLE_MAX_INDECS indecomposables; otherwise the enumeration stops
+    at that cap and `oracle_agrees` stays None.
     """
     if a.is_zero:
         return ProbeResult(True, 1, "zero algebra")
@@ -992,11 +994,9 @@ def finiteness_probe(a: Algebra, vertex_cap: int = DEFAULT_VERTEX_CAP,
     except CapExceededError as e:
         return ProbeResult(None, None, f"mutation closure exceeded caps: {e}")
 
-    oracle_agrees = None
     try:
-        ar = enumerate_indecomposables(a, dim_cap=dim_cap)
-        if ar.count <= ORACLE_MAX_INDECS:
-            oracle_agrees = len(enumerate_torsion_classes_oracle(ar)) == count
+        ar = enumerate_indecomposables(a, count_cap=ORACLE_MAX_INDECS, dim_cap=dim_cap)
+        oracle_agrees = len(enumerate_torsion_classes_oracle(ar)) == count
     except CapExceededError:
         oracle_agrees = None
     return ProbeResult(True, count, f"mutation closure complete with {count} pairs",

@@ -254,6 +254,20 @@ def test_mutate_at_killed_vertex(tmp_path, capsys):
     assert payload["pair"] == "10 | kill 2"
 
 
+def test_kill_that_is_not_vertices_is_a_usage_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), "dagger", alg("a2"), "--kill", "x")
+    assert (code, out) == (2, "")
+    assert "argument --kill: not a comma-separated list of vertices: 'x'" in err
+
+
+@pytest.mark.parametrize("at", ["zz", "P(x)"])
+def test_mutate_at_unknown_label_is_a_typed_error(tmp_path, capsys, at):
+    code, out, err = invoke(capsys, "--cache-dir", str(tmp_path),
+                            "mutate", alg("a2"), "--summands", "01,11", "--at", at)
+    assert (code, out) == (1, "")
+    assert err == f"error [cli]: unknown summand label {at!r}\n"
+
+
 def test_probe_verbs(tmp_path, capsys):
     code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), "--format", "json",
                           "probe", alg("a3rel"))

@@ -27,7 +27,7 @@ BOTH = ("table", "json")
 
 CASES = [case("hasse", fix, fmt) for fix in ALL for fmt in ("json", "dot")]
 CASES += [case("probe", fix, "json") for fix in ("a3rel", "wild4")]
-# the indecomposables' matrices depend on the idempotents `decompose` splits by
+# the indecomposables' matrices depend on the Fitting splits `decompose` makes
 CASES += [case("indecs", fix, "json") for fix in ALL]
 
 # one case per verb output not covered above

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 from helpers import R, conjugate, skewed_121
 
 import tautilt.rep as rep
 from tautilt import fixtures
 from tautilt.errors import ContractViolation
+from tautilt.homology import ar_sequence, enumerate_indecomposables
 from tautilt.rep import (
     Morphism,
     decompose,
@@ -23,8 +26,11 @@ from tautilt.rep import (
     top_of,
     trace_and_reject,
     validate,
+    zero_morphism,
     zero_rep,
 )
+
+FIXTURE_FILES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +157,42 @@ def test_decompose_conjugated_sum(a3):
     assert all(mult == 1 for _, mult in d.factors)
 
 
+def _check_decomposition_data(m):
+    """Each recorded inclusion is an injective morphism from its part into m,
+    and `splitting` composed with their sum is the identity of m."""
+    d = decompose(m)
+    assert len(d.inclusions) == len(d.parts) > 0
+    parts_sum = direct_sum(m.algebra, d.parts)
+    joined = zero_morphism(parts_sum.total, m)
+    for part, incl, proj in zip(d.parts, d.inclusions, parts_sum.projections):
+        assert incl.source is part and incl.target is m
+        assert incl.is_injective()
+        joined = joined + Morphism(part, m, incl.maps, verify=True) @ proj
+    assert (joined @ d.splitting).flat() == identity_morphism(m).flat()
+
+
+@pytest.mark.parametrize("name", ["a2", "a3lin", "a3rel", "d4", "k1", "skewed", "wild4", "wild5"])
+def test_decomposition_data_of_ar_middle_terms(name):
+    a = fixtures.algebra_from_source((FIXTURE_FILES / f"{name}.alg").read_text())
+    ar = enumerate_indecomposables(a)
+    for idx, x in enumerate(ar.indecomposables):
+        if idx not in ar.projective_vertex:
+            _check_decomposition_data(ar_sequence(x).middle)
+
+
+def test_decomposition_data_of_conjugated_sums(a2, a3, a3rel, skewed):
+    sums = [
+        [a2.projective(1), a2.projective(1)],
+        [a3.simple(2), a3.projective(1)],
+        [a3.simple(2), a3.projective(3), a3.simple(2), a3.injective(2)],
+        [a3rel.projective(1), a3rel.simple(2), a3rel.simple(2)],
+        [skewed.simple(2), skewed.projective(1), skewed_121(skewed)],
+    ]
+    for seed, parts in enumerate(sums):
+        m = direct_sum(parts[0].algebra, parts).total
+        _check_decomposition_data(conjugate(m, seed=seed))
+
+
 def test_end_radical_is_memoized(skewed):
     # End(S2 + P1) = k x k plus Hom(S2, P1) = k, which is its radical
     m = direct_sum(skewed, [skewed.simple(2), skewed.projective(1)]).total
@@ -193,7 +235,7 @@ def test_splitting_candidates_are_fixed_and_lazy(a2, monkeypatch):
             yield x
 
     monkeypatch.setattr(rep, "_splitting_candidates", counted)
-    assert rep._find_splitting_idempotent(m, basis, rad) is not None
+    assert rep._fitting_split(basis, rad) is not None
     assert len(drawn) == 1
 
 

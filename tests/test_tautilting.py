@@ -493,6 +493,15 @@ def test_probe_kronecker():
     assert "vertex_cap=4 exceeded after 4 pairs" in res.evidence
 
 
+def test_probe_stops_oracle_enumeration_at_its_cap():
+    # wild5 has 35 indecomposables, beyond the oracle's limit, so the probe's
+    # enumeration stops at ORACLE_MAX_INDECS and memoizes nothing
+    a = fixtures.algebra_from_source(fixtures.wild_family_source(5))
+    res = finiteness_probe(a)
+    assert (res.tau_tilting_finite, res.count, res.oracle_agrees) == (True, 230, None)
+    assert a.memo("ar_quiver") == {}
+
+
 def _summandwise_isomorphic(p, q):
     if len(p.summands) != len(q.summands) or p.kill != q.kill:
         return False
